@@ -5,11 +5,12 @@ integration, partition-lattice semigroup, decay-coefficient recursion,
 and a closed form for ordered-site models) and validated against two
 finite-population samplers (a forward resampling model and a backward
 ancestry partitioning process).  All stochastic paths are reproducible
-from a single integer seed; setting RECOMB_NUMBA=0 swaps the compiled
-kernels for plain Python with identical streams.
+from a single integer seed: the kernels run one plain-Python path over a
+splitmix64 stream per replicate, with ``math.log`` waiting times, so each
+replicate's output is a bitwise-pinned function of (seed, replicate).
 """
 
-from ._kernels import NUMBA_ACTIVE, splitmix_raw, stream_uniforms
+from ._kernels import splitmix_raw, stream_uniforms
 from .ancestral import (
     CoefficientVector,
     PartitionMatrix,
@@ -97,7 +98,6 @@ __all__ = [
     "LlnReport",
     "MassDriftError",
     "ModelConfig",
-    "NUMBA_ACTIVE",
     "NonGenericRatesError",
     "Partition",
     "PartitionIndex",

@@ -1,67 +1,29 @@
-"""Hot numerical kernels with an optional numba JIT path.
+"""Hot numerical kernels: one plain-Python path over numpy arrays.
 
-Every kernel is written once, in nopython-compatible Python, and compiled
-with numba when available.  Setting the environment variable
-``RECOMB_NUMBA`` to ``0``/``false``/``off``/``no`` (or not having numba
-installed) selects the pure-Python path instead; both paths execute the
-same source.
-
-Reproducibility contract: the Monte Carlo kernels draw from a splitmix64
-counter generator; replicate ``r`` starts from the seed's own generator
-output at step ``r + 1`` (see ``_stream_state``), and the kernels use
-``math.log``/``math.exp`` so the JIT and pure paths produce bit-identical
-streams on the same platform.
-Replicate ``r`` of any batch can therefore be reproduced in isolation.
-The dense ODE right-hand side is the one exception: the pure path uses a
-vectorized summation whose ordering differs, so the two paths agree only
-to rounding (~1e-15), not bitwise.
+Stream contract: the Monte Carlo kernels draw from a splitmix64 counter
+generator in ``np.uint64`` arithmetic; replicate ``r`` starts from the
+seed's own generator output at step ``r + 1`` (see ``_stream_state``), so
+its output is a pure function of (seed, r) and can be reproduced alone,
+in any chunk of a batch, under any worker count.  Waiting times use
+``math.log`` (not numpy's vectorized log, which differs in the last bit),
+so on a given platform every kernel output is bitwise pinned; the test
+suite checks fixed batches against stored digests.
 
 All simulation state lives in caller-provided or locally allocated numpy
-arrays; nothing here touches the domain classes, which keeps the kernels
-compilable and the domain layer free of numba concerns.
+arrays; nothing here touches the domain classes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via RECOMB_NUMBA=0 instead
-    numba = None
-    _HAVE_NUMBA = False
-
-
-def _env_wants_numba() -> bool:
-    return os.environ.get("RECOMB_NUMBA", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-NUMBA_ACTIVE = _HAVE_NUMBA and _env_wants_numba()
-
-if NUMBA_ACTIVE:
-    _jit = numba.njit(cache=True, nogil=True)
-else:
-
-    def _jit(fn):
-        return fn
-
 
 def _entry(fn):
-    """Public-kernel decorator: silence uint64 wraparound warnings on the
-    pure path (the RNG relies on modular arithmetic; numba never warns)."""
-    if NUMBA_ACTIVE:
-        return fn
+    """Public-kernel decorator: silence uint64 wraparound warnings (the
+    RNG relies on modular arithmetic)."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -86,7 +48,6 @@ _U1 = np.uint64(1)
 _INV53 = 1.1102230246251565e-16  # 2**-53
 
 
-@_jit
 def _next_u64(st):
     st[0] = st[0] + _SM_GOLDEN
     z = st[0]
@@ -95,13 +56,11 @@ def _next_u64(st):
     return z ^ (z >> _SH31)
 
 
-@_jit
 def _u(st):
     """Uniform float64 in [0, 1) with 53 random bits."""
     return float(_next_u64(st) >> _SH11) * _INV53
 
 
-@_jit
 def _ri(st, n):
     """Uniform integer in [0, n)."""
     i = int(_u(st) * n)
@@ -110,7 +69,6 @@ def _ri(st, n):
     return i
 
 
-@_jit
 def _stream_state(seed, rep):
     """Initial state of replicate stream `rep`.
 
@@ -128,6 +86,14 @@ def _stream_state(seed, rep):
 
 def _seed_u64(seed) -> np.uint64:
     return np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+
+
+def _i64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, np.int64)
+
+
+def _f64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, np.float64)
 
 
 @_entry
@@ -157,7 +123,6 @@ def stream_uniforms(seed, replicate: int, count: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@_jit
 def _draw_weighted(counts, total, st):
     """Index drawn with probability counts[i]/total (integer weights)."""
     u = _ri(st, total)
@@ -170,7 +135,6 @@ def _draw_weighted(counts, total, st):
     return last
 
 
-@_jit
 def _label_sites(masks, count, n_sites, out_row):
     """Canonical block labels per site (first-occurrence order).
 
@@ -198,7 +162,6 @@ def _label_sites(masks, count, n_sites, out_row):
 # --------------------------------------------------------------------------
 
 
-@_jit
 def _block_split_rate(ent_mask1, ent_rate, U):
     """Total rate of events separating the site mask U into two parts."""
     tot = 0.0
@@ -208,7 +171,6 @@ def _block_split_rate(ent_mask1, ent_rate, U):
     return tot
 
 
-@_jit
 def _partition_walk(
     ent_mask1, ent_rate, t_end, st, blocks, psi_b, nb, rec_times, rec_blocks, record
 ):
@@ -268,61 +230,27 @@ def _partition_walk(
     return nb, nev
 
 
-@_jit
-def _k_partition_batch(
-    ent_mask1, ent_rate, n_sites, start_blocks, n_start, t_end, seed, rep_lo, out_rows
-):
-    n_reps = out_rows.shape[0]
-    blocks = np.zeros(n_sites, np.int64)
-    psi_b = np.zeros(n_sites)
-    st = np.zeros(1, np.uint64)
-    dummy_t = np.zeros(1)
-    dummy_b = np.zeros((1, 1), np.int64)
-    for rr in range(n_reps):
-        st[0] = _stream_state(seed, rep_lo + rr)
-        for i in range(n_start):
-            blocks[i] = start_blocks[i]
-        nb, _ = _partition_walk(
-            ent_mask1, ent_rate, t_end, st, blocks, psi_b, n_start, dummy_t, dummy_b, 0
-        )
-        _label_sites(blocks, nb, n_sites, out_rows[rr])
-
-
 @_entry
 def partition_batch(
     ent_mask1, ent_rate, n_sites, start_blocks, t_end, seed, n_reps, rep_lo=0
 ):
     """Final-state site labels of n_reps partitioning-process runs."""
+    ent_mask1, ent_rate = _i64(ent_mask1), _f64(ent_rate)
+    start_blocks = _i64(start_blocks)
+    n_start = len(start_blocks)
+    t_end, seed, rep_lo = float(t_end), _seed_u64(seed), int(rep_lo)
     out = np.empty((n_reps, n_sites), np.int8)
-    _k_partition_batch(
-        np.ascontiguousarray(ent_mask1, np.int64),
-        np.ascontiguousarray(ent_rate, np.float64),
-        n_sites,
-        np.ascontiguousarray(start_blocks, np.int64),
-        len(start_blocks),
-        float(t_end),
-        _seed_u64(seed),
-        int(rep_lo),
-        out,
-    )
-    return out
-
-
-@_jit
-def _k_partition_history(
-    ent_mask1, ent_rate, n_sites, start_blocks, n_start, t_end, seed, replicate,
-    rec_times, rec_blocks,
-):
     blocks = np.zeros(n_sites, np.int64)
     psi_b = np.zeros(n_sites)
     st = np.zeros(1, np.uint64)
-    st[0] = _stream_state(seed, replicate)
-    for i in range(n_start):
-        blocks[i] = start_blocks[i]
-    nb, nev = _partition_walk(
-        ent_mask1, ent_rate, t_end, st, blocks, psi_b, n_start, rec_times, rec_blocks, 1
-    )
-    return nb, nev
+    for rr in range(n_reps):
+        st[0] = _stream_state(seed, rep_lo + rr)
+        blocks[:n_start] = start_blocks
+        nb, _ = _partition_walk(
+            ent_mask1, ent_rate, t_end, st, blocks, psi_b, n_start, None, None, 0
+        )
+        _label_sites(blocks, nb, n_sites, out[rr])
+    return out
 
 
 @_entry
@@ -332,26 +260,19 @@ def partition_history(ent_mask1, ent_rate, n_sites, start_blocks, t_end, seed, r
     Returns (times, list-of-block-mask-arrays), one entry per event; the
     event at times[k] produced the block set rec[k].
     """
-    max_ev = n_sites
-    rec_times = np.zeros(max_ev)
-    rec_blocks = np.zeros((max_ev, n_sites), np.int64)
-    nb, nev = _k_partition_history(
-        np.ascontiguousarray(ent_mask1, np.int64),
-        np.ascontiguousarray(ent_rate, np.float64),
-        n_sites,
-        np.ascontiguousarray(start_blocks, np.int64),
-        len(start_blocks),
-        float(t_end),
-        _seed_u64(seed),
-        int(replicate),
-        rec_times,
-        rec_blocks,
+    start_blocks = _i64(start_blocks)
+    n_start = len(start_blocks)
+    rec_times = np.zeros(n_sites)
+    rec_blocks = np.zeros((n_sites, n_sites), np.int64)
+    blocks = np.zeros(n_sites, np.int64)
+    blocks[:n_start] = start_blocks
+    st = np.zeros(1, np.uint64)
+    st[0] = _stream_state(_seed_u64(seed), int(replicate))
+    _, nev = _partition_walk(
+        _i64(ent_mask1), _f64(ent_rate), float(t_end), st, blocks, np.zeros(n_sites),
+        n_start, rec_times, rec_blocks, 1,
     )
-    events = []
-    width = len(start_blocks)
-    for k in range(nev):
-        width += 1
-        events.append(rec_blocks[k, :width].copy())
+    events = [rec_blocks[k, : n_start + k + 1].copy() for k in range(nev)]
     return rec_times[:nev].copy(), events
 
 
@@ -360,7 +281,6 @@ def partition_history(ent_mask1, ent_rate, n_sites, start_blocks, t_end, seed, r
 # --------------------------------------------------------------------------
 
 
-@_jit
 def _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st):
     """Draw one replacement event; returns (dying type, offspring type).
 
@@ -393,7 +313,6 @@ def _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st):
     return y, x
 
 
-@_jit
 def _moran_run(counts, places, sizes, ent_mask1, ent_prob, mu, duration, st):
     """Advance the population over a time window; counts updated in place."""
     N = 0
@@ -415,7 +334,6 @@ def _moran_run(counts, places, sizes, ent_mask1, ent_prob, mu, duration, st):
     return n_events
 
 
-@_jit
 def _fill_multinomial(counts, w_cum, N, st):
     """N iid draws from the cumulative weights (conditionally multinomial)."""
     K = counts.shape[0]
@@ -431,35 +349,6 @@ def _fill_multinomial(counts, w_cum, N, st):
         counts[idx] += 1
 
 
-@_jit
-def _k_moran_batch(
-    init_counts, w_cum, multinomial, places, sizes, ent_mask1, ent_prob, mu,
-    t_grid, seed, rep_lo, out_counts,
-):
-    n_reps = out_counts.shape[0]
-    K = init_counts.shape[0] if multinomial == 0 else w_cum.shape[0]
-    counts = np.zeros(K, np.int64)
-    st = np.zeros(1, np.uint64)
-    N = 0
-    for i in range(init_counts.shape[0]):
-        N += init_counts[i]
-    for rr in range(n_reps):
-        st[0] = _stream_state(seed, rep_lo + rr)
-        if multinomial != 0:
-            _fill_multinomial(counts, w_cum, N, st)
-        else:
-            for i in range(K):
-                counts[i] = init_counts[i]
-        prev = 0.0
-        for ti in range(t_grid.shape[0]):
-            _moran_run(
-                counts, places, sizes, ent_mask1, ent_prob, mu, t_grid[ti] - prev, st
-            )
-            prev = t_grid[ti]
-            for i in range(K):
-                out_counts[rr, ti, i] = counts[i]
-
-
 @_entry
 def moran_batch(
     init_counts, places, sizes, ent_mask1, ent_prob, mu, t_grid, seed,
@@ -472,49 +361,34 @@ def moran_batch(
     init_counts; otherwise all replicates start from init_counts exactly.
     Returns an (n_reps, n_times, n_types) int64 array.
     """
-    init_counts = np.ascontiguousarray(init_counts, np.int64)
+    init_counts = _i64(init_counts)
+    places, sizes = _i64(places), _i64(sizes)
+    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
+    mu, seed, rep_lo = float(mu), _seed_u64(seed), int(rep_lo)
+    t_grid = _f64(t_grid)
     K = init_counts.shape[0]
-    if multinomial_from is None:
-        w_cum = np.zeros(K)
-        flag = 0
-    else:
-        w_cum = np.cumsum(np.ascontiguousarray(multinomial_from, np.float64))
-        flag = 1
-    t_grid = np.ascontiguousarray(t_grid, np.float64)
+    if multinomial_from is not None:
+        w_cum = np.cumsum(_f64(multinomial_from))
     out = np.empty((n_reps, t_grid.shape[0], K), np.int64)
-    _k_moran_batch(
-        init_counts,
-        w_cum,
-        flag,
-        np.ascontiguousarray(places, np.int64),
-        np.ascontiguousarray(sizes, np.int64),
-        np.ascontiguousarray(ent_mask1, np.int64),
-        np.ascontiguousarray(ent_prob, np.float64),
-        float(mu),
-        t_grid,
-        _seed_u64(seed),
-        int(rep_lo),
-        out,
-    )
-    return out
-
-
-@_jit
-def _k_moran_tv_batch(
-    w_cum, target, N, places, sizes, ent_mask1, ent_prob, mu, t_end, seed, rep_lo, out_tv
-):
-    n_reps = out_tv.shape[0]
-    K = w_cum.shape[0]
     counts = np.zeros(K, np.int64)
     st = np.zeros(1, np.uint64)
+    N = 0
+    for i in range(K):
+        N += init_counts[i]
     for rr in range(n_reps):
         st[0] = _stream_state(seed, rep_lo + rr)
-        _fill_multinomial(counts, w_cum, N, st)
-        _moran_run(counts, places, sizes, ent_mask1, ent_prob, mu, t_end, st)
-        acc = 0.0
-        for i in range(K):
-            acc += abs(counts[i] / N - target[i])
-        out_tv[rr] = 0.5 * acc
+        if multinomial_from is not None:
+            _fill_multinomial(counts, w_cum, N, st)
+        else:
+            counts[:] = init_counts
+        prev = 0.0
+        for ti in range(t_grid.shape[0]):
+            _moran_run(
+                counts, places, sizes, ent_mask1, ent_prob, mu, t_grid[ti] - prev, st
+            )
+            prev = t_grid[ti]
+            out[rr, ti] = counts
+    return out
 
 
 @_entry
@@ -527,34 +401,25 @@ def moran_tv_batch(
     runs the Moran model to t_end, and reports the total variation
     distance of its empirical type frequencies to `target`.
     """
+    w_cum = np.cumsum(_f64(w0))
+    target = _f64(target)
+    places, sizes = _i64(places), _i64(sizes)
+    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
+    N, mu, t_end = int(N), float(mu), float(t_end)
+    seed, rep_lo = _seed_u64(seed), int(rep_lo)
+    K = w_cum.shape[0]
     out = np.empty(n_reps)
-    _k_moran_tv_batch(
-        np.cumsum(np.ascontiguousarray(w0, np.float64)),
-        np.ascontiguousarray(target, np.float64),
-        int(N),
-        np.ascontiguousarray(places, np.int64),
-        np.ascontiguousarray(sizes, np.int64),
-        np.ascontiguousarray(ent_mask1, np.int64),
-        np.ascontiguousarray(ent_prob, np.float64),
-        float(mu),
-        float(t_end),
-        _seed_u64(seed),
-        int(rep_lo),
-        out,
-    )
-    return out
-
-
-@_jit
-def _k_moran_event_pairs(counts0, places, sizes, ent_mask1, ent_prob, seed, n_events, out_pairs):
-    N = 0
-    for i in range(counts0.shape[0]):
-        N += counts0[i]
+    counts = np.zeros(K, np.int64)
     st = np.zeros(1, np.uint64)
-    st[0] = seed
-    for _ in range(n_events):
-        y, x = _moran_event(counts0, N, places, sizes, ent_mask1, ent_prob, st)
-        out_pairs[y, x] += 1
+    for rr in range(n_reps):
+        st[0] = _stream_state(seed, rep_lo + rr)
+        _fill_multinomial(counts, w_cum, N, st)
+        _moran_run(counts, places, sizes, ent_mask1, ent_prob, mu, t_end, st)
+        acc = 0.0
+        for i in range(K):
+            acc += abs(counts[i] / N - target[i])
+        out[rr] = 0.5 * acc
+    return out
 
 
 @_entry
@@ -564,19 +429,19 @@ def moran_event_pairs(counts0, places, sizes, ent_mask1, ent_prob, seed, n_event
     The population is reset to counts0 before every event, so the table
     estimates the per-event transition law out of that fixed state.
     """
-    counts0 = np.ascontiguousarray(counts0, np.int64)
+    counts0 = _i64(counts0)
+    places, sizes = _i64(places), _i64(sizes)
+    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
     K = counts0.shape[0]
     out = np.zeros((K, K), np.int64)
-    _k_moran_event_pairs(
-        counts0,
-        np.ascontiguousarray(places, np.int64),
-        np.ascontiguousarray(sizes, np.int64),
-        np.ascontiguousarray(ent_mask1, np.int64),
-        np.ascontiguousarray(ent_prob, np.float64),
-        _seed_u64(seed),
-        int(n_events),
-        out,
-    )
+    N = 0
+    for i in range(K):
+        N += counts0[i]
+    st = np.zeros(1, np.uint64)
+    st[0] = _seed_u64(seed)
+    for _ in range(int(n_events)):
+        y, x = _moran_event(counts0, N, places, sizes, ent_mask1, ent_prob, st)
+        out[y, x] += 1
     return out
 
 
@@ -585,7 +450,6 @@ def moran_event_pairs(counts0, places, sizes, ent_mask1, ent_prob, seed, n_event
 # --------------------------------------------------------------------------
 
 
-@_jit
 def _arg_one(ent_mask1, ent_prob, mu, n_sites, N, t_end, st, mat, frag_mask, frag_owner):
     """One backward run from a single individual carrying all sites.
 
@@ -710,11 +574,15 @@ def _arg_one(ent_mask1, ent_prob, mu, n_sites, N, t_end, st, mat, frag_mask, fra
     return m, nf
 
 
-@_jit
-def _k_arg_batch(
-    ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, rep_lo, out_rows, out_anc
-):
-    n_reps = out_rows.shape[0]
+@_entry
+def arg_batch(ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, n_reps, rep_lo=0):
+    """Backward-process batch: per replicate the final site-fragment
+    labels (a partition of the sites) and the ancestral-individual count."""
+    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
+    mu, n_sites, N, t_end = float(mu), int(n_sites), int(N), float(t_end)
+    seed, rep_lo = _seed_u64(seed), int(rep_lo)
+    out_rows = np.empty((n_reps, n_sites), np.int8)
+    out_anc = np.empty(n_reps, np.int32)
     mat = np.zeros(n_sites, np.int64)
     frag_mask = np.zeros(n_sites, np.int64)
     frag_owner = np.zeros(n_sites, np.int64)
@@ -726,73 +594,40 @@ def _k_arg_batch(
         )
         _label_sites(frag_mask, nf, n_sites, out_rows[rr])
         out_anc[rr] = m
-
-
-@_entry
-def arg_batch(ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, n_reps, rep_lo=0):
-    """Backward-process batch: per replicate the final site-fragment
-    labels (a partition of the sites) and the ancestral-individual count."""
-    out_rows = np.empty((n_reps, n_sites), np.int8)
-    out_anc = np.empty(n_reps, np.int32)
-    _k_arg_batch(
-        np.ascontiguousarray(ent_mask1, np.int64),
-        np.ascontiguousarray(ent_prob, np.float64),
-        float(mu),
-        int(n_sites),
-        int(N),
-        float(t_end),
-        _seed_u64(seed),
-        int(rep_lo),
-        out_rows,
-        out_anc,
-    )
     return out_rows, out_anc
-
-
-@_jit
-def _k_arg_state(
-    ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, replicate, frag_mask, frag_owner
-):
-    mat = np.zeros(n_sites, np.int64)
-    st = np.zeros(1, np.uint64)
-    st[0] = _stream_state(seed, replicate)
-    m, nf = _arg_one(
-        ent_mask1, ent_prob, mu, n_sites, N, t_end, st, mat, frag_mask, frag_owner
-    )
-    return m, nf
 
 
 @_entry
 def arg_state(ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, replicate=0):
     """One backward run; returns (fragment masks, fragment owners, m)."""
+    n_sites = int(n_sites)
     frag_mask = np.zeros(n_sites, np.int64)
     frag_owner = np.zeros(n_sites, np.int64)
-    m, nf = _k_arg_state(
-        np.ascontiguousarray(ent_mask1, np.int64),
-        np.ascontiguousarray(ent_prob, np.float64),
-        float(mu),
-        int(n_sites),
-        int(N),
-        float(t_end),
-        _seed_u64(seed),
-        int(replicate),
-        frag_mask,
-        frag_owner,
+    st = np.zeros(1, np.uint64)
+    st[0] = _stream_state(_seed_u64(seed), int(replicate))
+    m, nf = _arg_one(
+        _i64(ent_mask1), _f64(ent_prob), float(mu), n_sites, int(N), float(t_end), st,
+        np.zeros(n_sites, np.int64), frag_mask, frag_owner,
     )
     return frag_mask[:nf].copy(), frag_owner[:nf].copy(), m
 
 
-@_jit
-def _k_reconstruct_batch(
-    ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, rep_lo,
-    z0_counts, places, sizes, out_types,
+@_entry
+def reconstruct_batch(
+    ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, n_reps, z0_counts, places, sizes,
+    rep_lo=0,
 ):
-    n_reps = out_types.shape[0]
-    K = z0_counts.shape[0]
+    """Sample present-day types by running the backward process and copying
+    founder letters blockwise; returns flat type indices per replicate."""
+    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
+    mu, n_sites, N, t_end = float(mu), int(n_sites), int(N), float(t_end)
+    seed, rep_lo = _seed_u64(seed), int(rep_lo)
+    z0_counts, places, sizes = _i64(z0_counts), _i64(places), _i64(sizes)
+    out = np.empty(n_reps, np.int64)
     mat = np.zeros(n_sites, np.int64)
     frag_mask = np.zeros(n_sites, np.int64)
     frag_owner = np.zeros(n_sites, np.int64)
-    tmp = np.zeros(K, np.int64)
+    tmp = np.zeros(z0_counts.shape[0], np.int64)
     ind_type = np.zeros(n_sites, np.int64)
     st = np.zeros(1, np.uint64)
     for rr in range(n_reps):
@@ -802,8 +637,7 @@ def _k_reconstruct_batch(
         )
         # assign each ancestral individual a founder drawn without
         # replacement from the initial population
-        for i in range(K):
-            tmp[i] = z0_counts[i]
+        tmp[:] = z0_counts
         remaining = N
         for ind in range(m):
             ind_type[ind] = _draw_weighted(tmp, remaining, st)
@@ -816,31 +650,7 @@ def _k_reconstruct_batch(
             for s in range(n_sites):
                 if (fm >> s) & 1:
                     x += ((src // places[s]) % sizes[s]) * places[s]
-        out_types[rr] = x
-
-
-@_entry
-def reconstruct_batch(
-    ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, n_reps, z0_counts, places, sizes,
-    rep_lo=0,
-):
-    """Sample present-day types by running the backward process and copying
-    founder letters blockwise; returns flat type indices per replicate."""
-    out = np.empty(n_reps, np.int64)
-    _k_reconstruct_batch(
-        np.ascontiguousarray(ent_mask1, np.int64),
-        np.ascontiguousarray(ent_prob, np.float64),
-        float(mu),
-        int(n_sites),
-        int(N),
-        float(t_end),
-        _seed_u64(seed),
-        int(rep_lo),
-        np.ascontiguousarray(z0_counts, np.int64),
-        np.ascontiguousarray(places, np.int64),
-        np.ascontiguousarray(sizes, np.int64),
-        out,
-    )
+        out[rr] = x
     return out
 
 
@@ -849,38 +659,14 @@ def reconstruct_batch(
 # --------------------------------------------------------------------------
 
 
-@_jit
-def _k_rhs(w, idx1, idx2, k1s, k2s, rates, out):
-    K = w.shape[0]
-    E = rates.shape[0]
-    mass = 0.0
-    for x in range(K):
-        out[x] = 0.0
-        mass += w[x]
-    if mass <= 0.0:
-        return
-    for e in range(E):
-        m1 = np.zeros(k1s[e])
-        m2 = np.zeros(k2s[e])
-        for x in range(K):
-            m1[idx1[e, x]] += w[x]
-            m2[idx2[e, x]] += w[x]
-        r = rates[e]
-        for x in range(K):
-            out[x] += r * (m1[idx1[e, x]] * m2[idx2[e, x]] / mass - w[x])
-
-
 def rhs_dense(w, idx1, idx2, k1s, k2s, rates):
     """Sum of rate * (blockwise product measure - w) over the entries.
 
     idx1/idx2 map each flat type index to its block-1/block-2 marginal
-    index for each entry (precomputed by the caller).  The JIT path loops;
-    the pure path uses bincount, so the two paths agree to rounding only.
+    index for each entry (precomputed by the caller); block marginals are
+    single bincount passes.
     """
     out = np.zeros_like(w)
-    if NUMBA_ACTIVE:
-        _k_rhs(w, idx1, idx2, k1s, k2s, rates, out)
-        return out
     mass = w.sum()
     if mass <= 0.0:
         return out
@@ -897,11 +683,8 @@ def rhs_dense(w, idx1, idx2, k1s, k2s, rates):
 
 
 def warmup() -> None:
-    """Trigger compilation of every kernel on a toy model.
-
-    With numba's on-disk cache this is fast after the first call in a
-    given environment; without numba it is a no-op-cost sanity run.
-    """
+    """Run every kernel once on a toy model (a cheap sanity run that
+    also takes first-call costs out of later timings)."""
     ent_mask1 = np.array([1], np.int64)
     ent_prob = np.array([0.5])
     ent_rate = np.array([0.5])

@@ -32,7 +32,7 @@ from .partitions import (
 from .rates import RecombinationDistribution
 
 #: uniformization truncation: stop once the Poisson weights used cover
-#: all but this much probability.
+#: all but this much probability (or rounding stops the sum from moving).
 _POISSON_TAIL = 1e-15
 #: largest lambda*t handled in a single uniformization pass; larger
 #: horizons are split into equal subintervals applied sequentially.
@@ -141,12 +141,34 @@ def _uniformized(q: np.ndarray) -> tuple[np.ndarray, float]:
     return np.eye(q.shape[0]) + q / lam, lam
 
 
+def _poisson_weights(lt: float) -> list[float]:
+    """Poisson(lt) weights e^{-lt} lt^k / k! for k = 0, 1, ... up to truncation.
+
+    Stops once the weights cover all but 1e-15 of the mass, or, past the
+    mode (k > lt), at the first weight that no longer changes the rounded
+    running sum: for many lt above about 11 rounding holds the sum just
+    under 1 - 1e-15 forever, and every later weight is smaller still.
+    """
+    weight = math.exp(-lt)
+    cum = weight
+    weights = [weight]
+    k = 0
+    while cum < 1.0 - _POISSON_TAIL:
+        k += 1
+        weight *= lt / k
+        if k > lt and cum + weight == cum:
+            break
+        cum += weight
+        weights.append(weight)
+    return weights
+
+
 def _expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """v @ e^{tQ} by uniformization (Poisson mixture of powers).
 
-    The weights are accumulated until their mass reaches 1 - 1e-15; a
-    horizon with lambda*t beyond 500 is split into equal subintervals to
-    keep the Poisson series well-conditioned.
+    A horizon with lambda*t beyond 500 is split into equal subintervals
+    to keep the Poisson series well-conditioned; see `_poisson_weights`
+    for where each series is truncated.
     """
     p, lam = _uniformized(q)
     if lam * t == 0.0:
@@ -155,20 +177,12 @@ def _expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     dt = t / n_chunks
     out = v.astype(float).copy()
     for _ in range(n_chunks):
-        lt = lam * dt
-        weight = math.exp(-lt)
-        cum = weight
+        weights = _poisson_weights(lam * dt)
         term = out
-        acc = weight * term
-        k = 0
-        while cum < 1.0 - _POISSON_TAIL:
-            k += 1
+        acc = weights[0] * term
+        for weight in weights[1:]:
             term = term @ p
-            weight *= lt / k
-            cum += weight
             acc = acc + weight * term
-            if k > 100 * lt + 1000:  # unreachable safety stop
-                break
         out = acc
     return out
 
@@ -403,22 +417,11 @@ def coefficients_single_crossover(
 # --------------------------------------------------------------------------
 
 
-def _entry_arrays(d: RecombinationDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(block-1 masks, probabilities, rates) of the support, index order."""
-    pos = {s: i for i, s in enumerate(d.ground)}
-    ordered = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
-    masks = np.array(
-        [sum(1 << pos[s] for s in a.blocks[0]) for a, _ in ordered], dtype=np.int64
-    )
-    probs = np.array([r for _, r in ordered])
-    return masks, probs, probs * d.mu
-
-
-def _labels_to_partition(row: np.ndarray, ground: tuple[int, ...]) -> Partition:
-    blocks: dict[int, list[int]] = {}
-    for pos, label in enumerate(row):
-        blocks.setdefault(int(label), []).append(ground[pos])
-    return Partition(blocks.values())
+def _check_start(d: RecombinationDistribution, start: Partition, t: float) -> None:
+    if t < 0:
+        raise DomainError(f"time must be nonnegative, got {t}")
+    if start.ground != d.ground:
+        raise DomainError(f"{start.to_text()} is not a partition of {d.ground}")
 
 
 def simulate_partitioning(
@@ -432,24 +435,22 @@ def simulate_partitioning(
     refines `start`.  No lattice enumeration is involved, so this works
     far beyond the exact-method site cap.
     """
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    if start.ground != d.ground:
-        raise DomainError(f"{start.to_text()} is not a partition of {d.ground}")
-    masks, _, rates = _entry_arrays(d)
+    _check_start(d, start, t)
+    masks, probs = d.event_arrays()
     rows = _kernels.partition_batch(
-        masks, rates, d.n_sites, np.array(start.as_masks(), np.int64), t, seed, 1
+        masks, probs * d.mu, d.n_sites, start.as_masks(), t, seed, 1
     )
-    return _labels_to_partition(rows[0], d.ground)
+    return Partition.from_labels(rows[0], d.ground)
 
 
 def partitioning_history(
     d: RecombinationDistribution, start: Partition, t: float, seed: int, replicate: int = 0
 ) -> list[tuple[float, Partition]]:
     """Event times and states of one sampled refinement path."""
-    masks, _, rates = _entry_arrays(d)
+    _check_start(d, start, t)
+    masks, probs = d.event_arrays()
     times, block_sets = _kernels.partition_history(
-        masks, rates, d.n_sites, np.array(start.as_masks(), np.int64), t, seed, replicate
+        masks, probs * d.mu, d.n_sites, start.as_masks(), t, seed, replicate
     )
     out = []
     for when, blocks in zip(times, block_sets):
@@ -467,21 +468,18 @@ def partition_frequencies(
     start: Partition | None = None,
 ) -> dict[Partition, int]:
     """Monte Carlo sample counts of the refinement process at time t."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
     if n_replicates < 1:
         raise DomainError("need at least one replicate")
     if start is None:
         start = Partition.one_block(d.ground)
-    if start.ground != d.ground:
-        raise DomainError(f"{start.to_text()} is not a partition of {d.ground}")
-    masks, _, rates = _entry_arrays(d)
+    _check_start(d, start, t)
+    masks, probs = d.event_arrays()
     rows = _kernels.partition_batch(
-        masks, rates, d.n_sites, np.array(start.as_masks(), np.int64), t, seed, n_replicates
+        masks, probs * d.mu, d.n_sites, start.as_masks(), t, seed, n_replicates
     )
     uniq, counts = np.unique(rows, axis=0, return_counts=True)
     return {
-        _labels_to_partition(uniq[i], d.ground): int(counts[i])
+        Partition.from_labels(uniq[i], d.ground): int(counts[i])
         for i in range(uniq.shape[0])
     }
 

@@ -45,8 +45,8 @@ from .errors import (
     RecombError,
 )
 from .measure import TypeSpace
-from .moran import PopulationState, _model_arrays, lln_report
-from .rates import RecombinationDistribution
+from .moran import PopulationState, lln_report
+from .partitions import Partition
 
 log = logging.getLogger("recomb")
 
@@ -167,8 +167,7 @@ def _run_chunked(fn, total: int, jobs: int):
     """Split a replicate batch into chunks and run them on a thread pool.
 
     Replicate r always draws from the same stream keyed by (seed, r), so
-    the split is invisible in the output; compiled kernels release the
-    GIL, which is where the parallelism comes from.
+    the split is invisible in the output.
     """
     pieces = list(_chunks(total, jobs))
     if len(pieces) == 1:
@@ -224,15 +223,16 @@ def _cmd_simulate_moran(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
         cfg.initial, cfg.run.n_individuals, mode="round"
     )
     d = cfg.rates
-    masks, probs, places, sizes = _model_arrays(d, z0.space)
+    space = z0.space
+    masks, probs = d.event_arrays()
 
     def run(lo: int, count: int) -> np.ndarray:
         return _kernels.moran_batch(
-            z0.counts, places, sizes, masks, probs, d.mu, times, seed, count, rep_lo=lo
+            z0.counts, space.places, space.alphabet_sizes, masks, probs, d.mu, times,
+            seed, count, rep_lo=lo,
         )
 
     counts = np.concatenate(_run_chunked(run, replicates, args.jobs), axis=0)
-    space = z0.space
     if fmt == "csv":
         rows = []
         for r in range(replicates):
@@ -264,7 +264,7 @@ def _cmd_simulate_arg(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     d = cfg.rates
     N = cfg.run.n_individuals
     t_end = cfg.run.t
-    masks, probs = _arg_arrays(d)
+    masks, probs = d.event_arrays()
 
     def run(lo: int, count: int):
         return _kernels.arg_batch(
@@ -274,11 +274,11 @@ def _cmd_simulate_arg(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     pieces = _run_chunked(run, replicates, args.jobs)
     rows = np.concatenate([p[0] for p in pieces], axis=0)
     ancestors = np.concatenate([p[1] for p in pieces], axis=0)
-    ground = d.ground
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    texts = [Partition.from_labels(row, d.ground).to_text() for row in uniq]
+    partitions = [texts[i] for i in inverse.ravel()]
     if fmt == "csv":
-        out_rows = []
-        for r in range(replicates):
-            out_rows.append([r, _labels_to_text(ground, rows[r]), int(ancestors[r])])
+        out_rows = [[r, partitions[r], int(ancestors[r])] for r in range(replicates)]
         _emit(
             out_dir,
             "arg.csv",
@@ -288,30 +288,12 @@ def _cmd_simulate_arg(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
         payload = [
             {
                 "replicate": r,
-                "partition": _labels_to_text(ground, rows[r]),
+                "partition": partitions[r],
                 "ancestors": int(ancestors[r]),
             }
             for r in range(replicates)
         ]
         _emit(out_dir, "arg.json", _json_text(payload))
-
-
-def _arg_arrays(d: RecombinationDistribution):
-    pos = {s: i for i, s in enumerate(d.ground)}
-    ordered = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
-    masks = np.array(
-        [sum(1 << pos[s] for s in a.blocks[0]) for a, _ in ordered], dtype=np.int64
-    )
-    probs = np.array([r for _, r in ordered], dtype=np.float64)
-    return masks, probs
-
-
-def _labels_to_text(ground: tuple[int, ...], labels: np.ndarray) -> str:
-    groups: dict[int, list[int]] = {}
-    for posn, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(ground[posn])
-    blocks = sorted(groups.values(), key=lambda b: b[0])
-    return "|".join(",".join(str(s) for s in b) for b in blocks)
 
 
 def _cmd_lln_report(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:

@@ -114,19 +114,13 @@ class PopulationState:
 
 
 def _model_arrays(d: RecombinationDistribution, space: TypeSpace):
+    """Kernel inputs of a model acting on a population's type space."""
     if d.ground != space.sites:
         raise DomainError(
             f"model sites {d.ground} do not match the population's {space.sites}"
         )
-    pos = {s: i for i, s in enumerate(d.ground)}
-    ordered = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
-    masks = np.array(
-        [sum(1 << pos[s] for s in a.blocks[0]) for a, _ in ordered], dtype=np.int64
-    )
-    probs = np.array([r for _, r in ordered])
-    places = np.array(space.places, dtype=np.int64)
-    sizes = np.array(space.alphabet_sizes, dtype=np.int64)
-    return masks, probs, places, sizes
+    masks, probs = d.event_arrays()
+    return masks, probs, space.places, space.alphabet_sizes
 
 
 # --------------------------------------------------------------------------
@@ -342,12 +336,7 @@ def simulate_arg(
         raise DomainError(f"population size must be >= 1, got {N}")
     if t_end < 0:
         raise DomainError(f"time must be nonnegative, got {t_end}")
-    pos = {s: i for i, s in enumerate(d.ground)}
-    ordered = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
-    masks = np.array(
-        [sum(1 << pos[s] for s in a.blocks[0]) for a, _ in ordered], dtype=np.int64
-    )
-    probs = np.array([r for _, r in ordered])
+    masks, probs = d.event_arrays()
     frag_mask, frag_owner, m = _kernels.arg_state(
         masks, probs, d.mu, d.n_sites, N, t_end, seed, replicate
     )
@@ -375,12 +364,7 @@ def arg_replicates(
         raise DomainError("population size and replicate count must be >= 1")
     if t_end < 0:
         raise DomainError(f"time must be nonnegative, got {t_end}")
-    pos = {s: i for i, s in enumerate(d.ground)}
-    ordered = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
-    masks = np.array(
-        [sum(1 << pos[s] for s in a.blocks[0]) for a, _ in ordered], dtype=np.int64
-    )
-    probs = np.array([r for _, r in ordered])
+    masks, probs = d.event_arrays()
     return _kernels.arg_batch(masks, probs, d.mu, d.n_sites, N, t_end, seed, n_replicates)
 
 
@@ -390,13 +374,10 @@ def arg_partition_frequencies(
     """Sample counts of the backward site partition (labels ignored)."""
     rows, _ = arg_replicates(d, N, t_end, seed, n_replicates)
     uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    out: dict[Partition, int] = {}
-    for i in range(uniq.shape[0]):
-        groups: dict[int, list[int]] = {}
-        for posn, label in enumerate(uniq[i]):
-            groups.setdefault(int(label), []).append(d.ground[posn])
-        out[Partition(groups.values())] = int(counts[i])
-    return out
+    return {
+        Partition.from_labels(uniq[i], d.ground): int(counts[i])
+        for i in range(uniq.shape[0])
+    }
 
 
 def ancestry_reconstruct(

@@ -182,6 +182,14 @@ class Partition:
             blocks.append([ground[i] for i in range(len(ground)) if (m >> i) & 1])
         return cls(blocks)
 
+    @classmethod
+    def from_labels(cls, labels: Iterable[int], ground: tuple[int, ...]) -> "Partition":
+        """Group ground[i] by labels[i] (one kernel output row of site labels)."""
+        blocks: dict[int, list[int]] = {}
+        for site, label in zip(ground, labels):
+            blocks.setdefault(int(label), []).append(site)
+        return cls(blocks.values())
+
     # -- dunder plumbing ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

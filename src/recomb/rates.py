@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 from .partitions import Partition, cut_partition
 
@@ -140,6 +142,17 @@ class RecombinationDistribution:
     def support(self) -> Iterator[tuple[Partition, float]]:
         """(partition, probability) over the stored two-block entries."""
         return iter(self.entries.items())
+
+    def event_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support as kernel input: block-1 masks and probabilities.
+
+        Entries follow ``Partition.sort_key`` order; bit i of a mask is the
+        i-th site of the sorted ground set.  Rates are ``probs * mu``.
+        """
+        ordered = sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
+        masks = np.array([a.as_masks()[0] for a, _ in ordered], dtype=np.int64)
+        probs = np.array([r for _, r in ordered], dtype=np.float64)
+        return masks, probs
 
     # -- marginalization -------------------------------------------------
 

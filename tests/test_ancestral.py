@@ -30,6 +30,8 @@ from recomb import (
     simulate_partitioning,
     transition_semigroup,
 )
+from recomb import _kernels
+from recomb.ancestral import _expm_action, _poisson_weights
 
 P = Partition.from_text
 
@@ -152,6 +154,20 @@ def test_long_horizon_uniformization_chunks(q3, index3):
     a = coefficients_semigroup(q3, 600.0)
     assert a.value(index3.finest) == pytest.approx(1.0, abs=1e-12)
     assert a.total() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_poisson_series_stops_when_rounding_stalls_the_sum(q3):
+    # at lambda*t = 30.7639 rounding holds the running weight sum just
+    # under 1 - 1e-15, so a mass-only stop would take 4077 terms
+    lt = 30.7639
+    weights = _poisson_weights(lt)
+    assert len(weights) <= 100
+    assert sum(weights) == pytest.approx(1.0, abs=1e-14)
+    expm = pytest.importorskip("scipy.linalg").expm
+    q = q3.values
+    assert -q.diagonal().min() == 1.0  # lambda = 1, so lambda * t = t
+    got = _expm_action(q, np.eye(5), lt)
+    assert np.max(np.abs(got - expm(lt * q))) <= 1e-13
 
 
 def test_negative_time_rejected(q3, model3):
@@ -333,16 +349,11 @@ def test_history_final_state_matches_batch_sampler(model3):
         hist = partitioning_history(model3, one, 1.5, seed=31, replicate=rep)
         end = hist[-1][1] if hist else one
         # the batch sampler's replicate `rep` consumes the same stream
-        freq = partition_frequencies(model3, 1.5, rep + 1, seed=31)
-        del freq  # population check below is per replicate via the one-shot API
-        from recomb.ancestral import _entry_arrays, _labels_to_partition
-        from recomb import _kernels
-
-        masks, _, rates = _entry_arrays(model3)
+        masks, probs = model3.event_arrays()
         rows = _kernels.partition_batch(
-            masks, rates, 3, np.array(one.as_masks(), np.int64), 1.5, 31, rep + 1
+            masks, probs * model3.mu, 3, one.as_masks(), 1.5, 31, rep + 1
         )
-        assert _labels_to_partition(rows[rep], (1, 2, 3)) == end
+        assert Partition.from_labels(rows[rep], (1, 2, 3)) == end
 
 
 def test_sampler_beyond_the_lattice_cap():
@@ -362,3 +373,7 @@ def test_sampler_validation(model3):
         simulate_partitioning(model3, Partition.one_block((1, 2)), 1.0, seed=0)
     with pytest.raises(DomainError):
         partition_frequencies(model3, 1.0, 0, seed=0)
+    with pytest.raises(DomainError):
+        partitioning_history(model3, one, -1.0, seed=0)
+    with pytest.raises(DomainError):
+        partitioning_history(model3, P("1,2|5"), 1.0, seed=0)

@@ -208,6 +208,12 @@ def test_masks_round_trip_n4():
         assert sum(masks) == (1 << len(ground)) - 1
 
 
+def test_from_labels_groups_sites_by_label():
+    ground = (2, 5, 7, 9)
+    assert Partition.from_labels([0, 1, 0, 2], ground) == Partition.from_text("2,7|5|9")
+    assert Partition.from_labels([3, 3, 3, 3], ground).to_text() == "2,5,7,9"
+
+
 def test_block_of():
     p = Partition.from_text("1,3|2")
     assert p.block_of(3) == (1, 3)

@@ -36,6 +36,14 @@ def test_probability_style_basics(model3):
     )
 
 
+def test_event_arrays_encode_the_support_in_index_order(model3):
+    masks, probs = model3.event_arrays()
+    # sort_key order: 1|2,3 < 1,2|3 < 1,3|2; bit i is site i + 1
+    assert masks.dtype.name == "int64" and probs.dtype.name == "float64"
+    assert masks.tolist() == [0b001, 0b011, 0b101]
+    assert probs.tolist() == [0.3, 0.5, 0.2]
+
+
 def test_residual_probability():
     d = RecombinationDistribution.from_probabilities(
         (1, 2, 3), 2.0, {P("1|2,3"): 0.3, P("1,2|3"): 0.5}
