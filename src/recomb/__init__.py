@@ -34,6 +34,7 @@ from .dynamics import (
     SignedIncrement,
     Trajectory,
     check_duality,
+    exact_coefficients,
     integrate,
     integrate_grid,
     iterate_discrete,
@@ -126,6 +127,7 @@ __all__ = [
     "coefficients_single_crossover",
     "compute_psi_theta",
     "cut_partition",
+    "exact_coefficients",
     "exit_rate",
     "integrate",
     "integrate_grid",

@@ -12,6 +12,12 @@ the refinement process started from the one-block partition):
 * ``partition_frequencies`` - Monte Carlo over the event-driven simulator.
 
 Plus the discrete-time transition matrix and its power iteration.
+
+The generator, the discrete matrix and ``PsiTheta`` run on mask states
+(see :mod:`.partitions`) with rates from ``RecombinationDistribution``'s
+split table and its refinement step ``children``.  ``Partition`` objects
+are converted at the edge only: by ``PartitionIndex``, ``exit_rate`` and
+``PsiTheta.psi``/``theta``/``ground_table``.
 """
 
 from __future__ import annotations
@@ -24,11 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, NonGenericRatesError
-from .partitions import (
-    Partition,
-    PartitionIndex,
-    refinements,
-)
+from .partitions import Partition, PartitionIndex, count_label_rows, mask_state
 from .rates import RecombinationDistribution
 
 #: uniformization truncation: stop once the Poisson weights used cover
@@ -120,25 +122,13 @@ def build_generator(d: RecombinationDistribution, index: PartitionIndex) -> Part
         raise DomainError(f"index ground {index.ground} does not match {d.ground}")
     size = len(index)
     q = np.zeros((size, size))
-    for i, a in enumerate(index):
+    for i, state in enumerate(index.states):
         total = 0.0
-        for b in a.blocks:
-            if len(b) < 2:
-                continue
-            others = [blk for blk in a.blocks if blk != b]
-            for c, rate in d.block_split_rates(b).items():
-                target = Partition(list(others) + list(c.blocks))
-                q[i, index.index_of(target)] += rate
-                total += rate
+        for child, rate in d.children(state):
+            q[i, index.position[child]] = rate
+            total += rate
         q[i, i] = -total
     return PartitionMatrix(index, q)
-
-
-def _uniformized(q: np.ndarray) -> tuple[np.ndarray, float]:
-    lam = float(-q.diagonal().min())
-    if lam <= 0.0:
-        return np.eye(q.shape[0]), 0.0
-    return np.eye(q.shape[0]) + q / lam, lam
 
 
 def _poisson_weights(lt: float) -> list[float]:
@@ -170,9 +160,10 @@ def _expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     to keep the Poisson series well-conditioned; see `_poisson_weights`
     for where each series is truncated.
     """
-    p, lam = _uniformized(q)
-    if lam * t == 0.0:
+    lam = float(-q.diagonal().min())
+    if not lam * t > 0.0:
         return v.copy()
+    p = np.eye(q.shape[0]) + q / lam
     n_chunks = max(1, int(math.ceil(lam * t / _MAX_LAMBDA_T)))
     dt = t / n_chunks
     out = v.astype(float).copy()
@@ -187,16 +178,15 @@ def _expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _expm_full(q: np.ndarray, t: float) -> np.ndarray:
-    """e^{tQ} as a dense matrix, by the same uniformization scheme."""
-    return _expm_action(q, np.eye(q.shape[0]), t)
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise DomainError(f"time must be finite and nonnegative, got {t}")
 
 
 def transition_semigroup(q: PartitionMatrix, t: float) -> PartitionMatrix:
     """The stochastic matrix e^{tQ} on the partition lattice."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    return PartitionMatrix(q.index, _expm_full(q.values, t))
+    _check_time(t)
+    return PartitionMatrix(q.index, _expm_action(q.values, np.eye(len(q.index)), t))
 
 
 def coefficients_semigroup(
@@ -207,13 +197,10 @@ def coefficients_semigroup(
     Computed as a vector iteration so only O(size^2) work per Poisson
     term is needed; never forms the full exponential.
     """
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     index = q.index
-    if start is None:
-        start = index.one
     v = np.zeros(len(index))
-    v[index.index_of(start)] = 1.0
+    v[index.index_of(index.one if start is None else start)] = 1.0
     return CoefficientVector(index, _expm_action(q.values, v, t))
 
 
@@ -222,13 +209,22 @@ def coefficients_semigroup(
 # --------------------------------------------------------------------------
 
 
+def _psi(d: RecombinationDistribution, state: tuple[int, ...]) -> float:
+    """Exit rate of a mask state: the blocks' total split rates, summed."""
+    return sum(sum(rate for _, _, rate in d.split_table(b)[1]) for b in state)
+
+
 class PsiTheta:
     """Exit rates and exponential-mixture weights of the refinement process.
 
     ``psi_block(u)`` is the total two-way split rate of the site subset u;
     ``psi(a)`` sums it over the blocks of a partition (of any subset);
     ``theta(a, b)`` are the ground-set mixture weights with a refining b.
-    Built bottom-up from singleton subsets, memoized per subset touched.
+
+    On a site subset U, each split c = (c1, c2) at rate rho_c and each pair
+    of entries (a1, b1) on c1 and (a2, b2) on c2 add rho_c * theta(a1, b1)
+    * theta(a2, b2) to (a1 u a2, b1 u b2), divided by psi(1_U) - psi(b);
+    then theta(a, 1_U) = -sum_{b != 1_U} theta(a, b), theta(1_U, 1_U) = 1.
 
     Only partitions reachable from the one-block state through supported
     splits ever carry weight, so the pairwise-distinct exit-rate requirement
@@ -236,124 +232,78 @@ class PsiTheta:
     Partitions outside it may tie freely: their weights are identically zero.
     """
 
-    __slots__ = ("d", "index", "_psi_one", "_splits", "_tables")
+    __slots__ = ("d", "index", "_table")
 
     def __init__(self, d: RecombinationDistribution, index: PartitionIndex | None = None):
         self.d = d
         self.index = index if index is not None else PartitionIndex(d.ground)
-        self._psi_one: dict[frozenset, float] = {}
-        self._splits: dict[frozenset, dict[Partition, float]] = {}
-        self._tables: dict[frozenset, dict[tuple[Partition, Partition], float]] = {}
-        self._table(frozenset(d.ground))
+        self._table = self._build((1 << d.n_sites) - 1, {})
 
     # -- exit rates -----------------------------------------------------
 
-    def _splits_of(self, u: Iterable[int]) -> dict[Partition, float]:
-        key = frozenset(u)
-        cached = self._splits.get(key)
-        if cached is None:
-            cached = self.d.block_split_rates(sorted(key))
-            self._splits[key] = cached
-        return cached
-
     def psi_block(self, u: Iterable[int]) -> float:
-        key = frozenset(u)
-        cached = self._psi_one.get(key)
-        if cached is None:
-            cached = sum(self._splits_of(key).values())
-            self._psi_one[key] = cached
-        return cached
+        return self.d.split_rate(u)
 
     def psi(self, a: Partition) -> float:
-        return sum(self.psi_block(b) for b in a.blocks)
+        return sum(self.d.split_rate(b) for b in a.blocks)
 
-    def _reachable(self, u: tuple[int, ...]) -> list[Partition]:
-        """Partitions of u reachable from one block via supported splits."""
-        one = Partition.one_block(u)
-        seen = {one}
-        frontier = [one]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for w in p.blocks:
-                    if len(w) < 2:
-                        continue
-                    rest = [b for b in p.blocks if b != w]
-                    for c in self._splits_of(w):
-                        child = Partition(rest + list(c.blocks))
-                        if child not in seen:
-                            seen.add(child)
-                            nxt.append(child)
-            frontier = nxt
-        return sorted(seen, key=lambda p: p.sort_key())
-
-    def _check_generic(self, u: tuple[int, ...], reach: list[Partition]) -> None:
-        values = sorted(self.psi(a) for a in reach)
+    def _reachable_exit_rates(self, u: int) -> dict[tuple[int, ...], float]:
+        """Exit rates of the states reachable from (u,); refuses ties."""
+        seen, stack = {(u,)}, [(u,)]
+        while stack:
+            for child, _ in self.d.children(stack.pop()):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        psi = {state: _psi(self.d, state) for state in seen}
+        values = sorted(psi.values())
         for lo, hi in zip(values, values[1:]):
             if hi - lo <= _GENERIC_RTOL * max(1.0, abs(hi)):
                 raise NonGenericRatesError(
-                    f"exit rates collide on reachable states of sites {u} "
+                    "exit rates collide on reachable states of sites "
+                    f"{Partition.from_masks([u], self.d.ground).ground} "
                     f"({lo!r} vs {hi!r}); the exponential-mixture form needs "
                     "pairwise distinct rates - use the semigroup method for "
                     "this model"
                 )
+        return psi
 
     # -- mixture weights ---------------------------------------------------
 
     def theta(self, a: Partition, b: Partition) -> float:
         """Ground-set mixture weight; zero unless a refines b."""
-        table = self._tables[frozenset(self.d.ground)]
-        return table.get((a, b), 0.0)
+        if a.ground != self.d.ground or b.ground != self.d.ground:
+            return 0.0
+        return self._table.get((tuple(a.as_masks()), tuple(b.as_masks())), 0.0)
 
     def ground_table(self) -> dict[tuple[Partition, Partition], float]:
-        return dict(self._tables[frozenset(self.d.ground)])
+        parts, pos = self.index.partitions, self.index.position
+        return {(parts[pos[a]], parts[pos[b]]): v for (a, b), v in self._table.items()}
 
-    def _table(self, key: frozenset) -> dict[tuple[Partition, Partition], float]:
-        cached = self._tables.get(key)
-        if cached is not None:
-            return cached
-        u = tuple(sorted(key))
-        one = Partition.one_block(u)
-        table: dict[tuple[Partition, Partition], float] = {}
-        if len(u) == 1:
-            table[(one, one)] = 1.0
-            self._tables[key] = table
-            return table
-        splits = self._splits_of(key)
-        sub = {c: (self._table(frozenset(c.blocks[0])), self._table(frozenset(c.blocks[1])))
-               for c in splits}
-        psi_top = self.psi_block(u)
-        reach = self._reachable(u)
-        self._check_generic(u, reach)
-        for b in reach:
-            if b == one:
-                continue
-            denom = psi_top - self.psi(b)
-            for a in refinements(b):
-                acc = 0.0
-                for c, rate in splits.items():
-                    if not b.refines(c):
-                        continue
-                    t1, t2 = sub[c]
-                    c1, c2 = c.blocks
-                    f1 = t1.get((a.restrict(c1), b.restrict(c1)), 0.0)
-                    if f1 == 0.0:
-                        continue
-                    f2 = t2.get((a.restrict(c2), b.restrict(c2)), 0.0)
-                    if f2 == 0.0:
-                        continue
-                    acc += rate * f1 * f2
-                if acc != 0.0:
-                    table[(a, b)] = acc / denom
+    def _build(self, u: int, tables: dict) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
+        """Weights on the site subset with mask u, keyed by mask states."""
+        if u in tables:
+            return tables[u]
+        one = (u,)
+        splits = self.d.split_table(u)[1]
+        subs = [(self._build(c1, tables), self._build(c2, tables), rate)
+                for c1, c2, rate in splits]
+        psi = self._reachable_exit_rates(u)
+        acc: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
+        for t1, t2, rate in subs:
+            for (a1, b1), v1 in t1.items():
+                f1 = rate * v1
+                for (a2, b2), v2 in t2.items():
+                    key = (mask_state(a1 + a2), mask_state(b1 + b2))
+                    acc[key] = acc.get(key, 0.0) + f1 * v2
+        top = psi[one]
+        table = {key: v / (top - psi[key[1]]) for key, v in acc.items() if v != 0.0}
+        totals: dict[tuple[int, ...], float] = {}
+        for (a, _), v in table.items():
+            totals[a] = totals.get(a, 0.0) + v
         table[(one, one)] = 1.0
-        totals: dict[Partition, float] = {}
-        for (aa, bb), val in table.items():
-            if bb != one:
-                totals[aa] = totals.get(aa, 0.0) + val
-        for a, total in totals.items():
-            if total != 0.0:
-                table[(a, one)] = -total
-        self._tables[key] = table
+        table.update({(a, one): -total for a, total in totals.items() if total != 0.0})
+        tables[u] = table
         return table
 
 
@@ -369,13 +319,14 @@ def compute_psi_theta(d: RecombinationDistribution) -> PsiTheta:
 
 def coefficients_recursion(pt: PsiTheta, t: float) -> CoefficientVector:
     """a_t as the exponential mixture sum_{b >= a} theta(a,b) e^{-psi(b) t}."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     index = pt.index
     out = np.zeros(len(index))
-    decay = {b: math.exp(-pt.psi(b) * t) for b in index}
-    for (a, b), weight in pt.ground_table().items():
-        out[index.index_of(a)] += weight * decay[b]
+    decay: dict[tuple[int, ...], float] = {}
+    for (a, b), weight in pt._table.items():
+        if b not in decay:
+            decay[b] = math.exp(-_psi(pt.d, b) * t)
+        out[index.position[a]] += weight * decay[b]
     return CoefficientVector(index, out)
 
 
@@ -393,22 +344,19 @@ def coefficients_single_crossover(
     product of (1 - e^{-t rho_k}) over cuts in G and e^{-t rho_l} over
     the remaining cuts; every non-interval partition has weight zero.
     """
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if not d.is_single_crossover():
         raise DomainError(
             "not a single-crossover model: support contains a non-interval split"
         )
     index = PartitionIndex(d.ground)
-    n = d.n_sites
-    survive = {k: math.exp(-t * d.cut_rate(k)) for k in range(1, n)}
+    survive = [math.exp(-t * d.cut_rate(k)) for k in range(1, d.n_sites)]
     out = np.zeros(len(index))
     for p in index.interval_partitions():
         cuts = p.cut_set()
-        val = 1.0
-        for k in range(1, n):
-            val *= (1.0 - survive[k]) if k in cuts else survive[k]
-        out[index.index_of(p)] = val
+        out[index.index_of(p)] = math.prod(
+            1.0 - s if k in cuts else s for k, s in enumerate(survive, start=1)
+        )
     return CoefficientVector(index, out)
 
 
@@ -418,7 +366,7 @@ def coefficients_single_crossover(
 
 
 def _check_start(d: RecombinationDistribution, start: Partition, t: float) -> None:
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"time must be nonnegative, got {t}")
     if start.ground != d.ground:
         raise DomainError(f"{start.to_text()} is not a partition of {d.ground}")
@@ -435,12 +383,7 @@ def simulate_partitioning(
     refines `start`.  No lattice enumeration is involved, so this works
     far beyond the exact-method site cap.
     """
-    _check_start(d, start, t)
-    masks, probs = d.event_arrays()
-    rows = _kernels.partition_batch(
-        masks, probs * d.mu, d.n_sites, start.as_masks(), t, seed, 1
-    )
-    return Partition.from_labels(rows[0], d.ground)
+    return next(iter(partition_frequencies(d, t, 1, seed, start)))
 
 
 def partitioning_history(
@@ -477,11 +420,8 @@ def partition_frequencies(
     rows = _kernels.partition_batch(
         masks, probs * d.mu, d.n_sites, start.as_masks(), t, seed, n_replicates
     )
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    return {
-        Partition.from_labels(uniq[i], d.ground): int(counts[i])
-        for i in range(uniq.shape[0])
-    }
+    partitions, _, counts = count_label_rows(rows, d.ground)
+    return dict(zip(partitions, counts.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -509,24 +449,20 @@ def build_discrete_matrix(
         raise DomainError(f"index ground {index.ground} does not match {d.ground}")
     size = len(index)
     m = np.zeros((size, size))
-    for i, a in enumerate(index):
+    for i, state in enumerate(index.states):
         options_per_block = []
-        for b in a.blocks:
-            opts = []
-            stay = d.marginal_rate(b, Partition.one_block(b)) / d.mu
-            if stay > 0:
-                opts.append((Partition.one_block(b), stay))
-            for c, rate in d.block_split_rates(b).items():
-                opts.append((c, rate / d.mu))
+        for b in state:
+            stay, splits = d.split_table(b)
+            opts = [((b,), stay / d.mu)] if stay > 0 else []
+            opts.extend(((p1, p2), rate / d.mu) for p1, p2, rate in splits)
             options_per_block.append(opts)
         for combo in itertools.product(*options_per_block):
-            blocks: list[tuple[int, ...]] = []
+            blocks: list[int] = []
             prob = 1.0
             for c, p in combo:
-                blocks.extend(c.blocks)
+                blocks.extend(c)
                 prob *= p
-            target = Partition(blocks)
-            m[i, index.index_of(target)] += prob
+            m[i, index.position[mask_state(blocks)]] = prob
     return PartitionMatrix(index, m)
 
 
@@ -534,13 +470,11 @@ def coefficients_discrete(
     m: PartitionMatrix, t: int, start: Partition | None = None
 ) -> CoefficientVector:
     """Row `start` of M^t by iterated vector-matrix products."""
-    if t < 0 or int(t) != t:
+    if not (t >= 0 and float(t).is_integer()):
         raise DomainError(f"generation count must be a nonnegative integer, got {t}")
     index = m.index
-    if start is None:
-        start = index.one
     v = np.zeros(len(index))
-    v[index.index_of(start)] = 1.0
+    v[index.index_of(index.one if start is None else start)] = 1.0
     for _ in range(int(t)):
         v = v @ m.values
     return CoefficientVector(index, v)

@@ -28,15 +28,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import _kernels
-from .ancestral import CoefficientVector, PartitionIndex
+from .ancestral import CoefficientVector
 from .config import MODES, ModelConfig
 from .dynamics import (
     EXACT_METHODS,
     Trajectory,
-    _coefficients_for,
+    exact_coefficients,
     integrate_grid,
     iterate_discrete,
-    solve_exact,
+    mixture_from_coefficients,
 )
 from .errors import (
     ConfigError,
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .measure import TypeSpace
 from .moran import PopulationState, lln_report
-from .partitions import Partition
+from .partitions import count_label_rows
 
 log = logging.getLogger("recomb")
 
@@ -192,7 +192,10 @@ def _cmd_solve_exact(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     cfg.require("space", "initial", "times")
     method = cfg.run.method or "semigroup"
     times = cfg.times()
-    states = [solve_exact(cfg.rates, cfg.initial, t, method=method) for t in times]
+    states = [
+        mixture_from_coefficients(coeffs, cfg.initial)
+        for coeffs in exact_coefficients(cfg.rates, times, method)
+    ]
     _write_trajectory(out_dir, fmt, Trajectory([0.0] + times, [cfg.initial] + states)
                       if not times or times[0] > 0.0
                       else Trajectory(times, states))
@@ -210,7 +213,7 @@ def _cmd_solve_discrete(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
 def _cmd_coefficients(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     cfg.require("t")
     method = args.method or cfg.run.method or "semigroup"
-    coeffs = _coefficients_for(cfg.rates, cfg.run.t, method)
+    [coeffs] = exact_coefficients(cfg.rates, [cfg.run.t], method)
     _write_coefficients(out_dir, fmt, cfg.run.t, coeffs)
 
 
@@ -274,9 +277,9 @@ def _cmd_simulate_arg(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     pieces = _run_chunked(run, replicates, args.jobs)
     rows = np.concatenate([p[0] for p in pieces], axis=0)
     ancestors = np.concatenate([p[1] for p in pieces], axis=0)
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    texts = [Partition.from_labels(row, d.ground).to_text() for row in uniq]
-    partitions = [texts[i] for i in inverse.ravel()]
+    distinct, inverse, _ = count_label_rows(rows, d.ground)
+    texts = [p.to_text() for p in distinct]
+    partitions = [texts[i] for i in inverse]
     if fmt == "csv":
         out_rows = [[r, partitions[r], int(ancestors[r])] for r in range(replicates)]
         _emit(
@@ -323,41 +326,32 @@ def _cmd_crosscheck(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     d = cfg.rates
     tolerance = args.tolerance if args.tolerance is not None else 1e-10
     times = cfg.times()
-    routes = ["semigroup"]
-    generic = True
+    vectors = {}
     try:
-        from .ancestral import compute_psi_theta
-
-        compute_psi_theta(d)
-        routes.append("recursion")
+        vectors["recursion"] = exact_coefficients(d, times, "recursion")
     except NonGenericRatesError as exc:
-        generic = False
         log.info("recursion route skipped: %s", exc)
     if d.is_single_crossover():
-        routes.append("single_crossover")
-    if len(routes) < 2:
+        vectors["single_crossover"] = exact_coefficients(d, times, "single_crossover")
+    if not vectors:
         raise NonGenericRatesError(
             "crosscheck needs two independent routes, but the decay rates are "
             "tied (no recursion) and the model is not single-crossover"
         )
-    index = PartitionIndex(d.ground)
+    vectors["semigroup"] = exact_coefficients(d, times, "semigroup")
+    routes = [m for m in EXACT_METHODS if m in vectors]
     pair_max: dict[str, float] = {}
-    overall = 0.0
-    for t in times:
-        vectors = {m: _coefficients_for(d, t, m) for m in routes}
-        for i, m1 in enumerate(routes):
-            for m2 in routes[i + 1:]:
-                gap = max(
-                    abs(vectors[m1].value(a) - vectors[m2].value(a))
-                    for a in index.partitions
-                )
-                key = f"{m1}~{m2}"
-                pair_max[key] = max(pair_max.get(key, 0.0), gap)
-                overall = max(overall, gap)
+    for i, m1 in enumerate(routes):
+        for m2 in routes[i + 1:]:
+            pair_max[f"{m1}~{m2}"] = max(
+                float(np.max(np.abs(v1.values - v2.values)))
+                for v1, v2 in zip(vectors[m1], vectors[m2])
+            )
+    overall = max(pair_max.values())
     payload = {
         "times": times,
         "routes": routes,
-        "generic_rates": generic,
+        "generic_rates": "recursion" in vectors,
         "pairwise_max_deviation": pair_max,
         "max_deviation": overall,
         "tolerance": tolerance,

@@ -9,6 +9,7 @@ the chosen mode actually needs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -63,7 +64,13 @@ def _positive_int(value, path: str) -> int:
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a real number")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ConfigError(f"{path}: must be finite, got {real}")
+    return real
 
 
 @dataclass

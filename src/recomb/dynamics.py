@@ -5,7 +5,8 @@ Three routes to the same flow on probability distributions:
 * ``integrate`` - fixed-step 4th-order integration of the nonlinear
   vector field sum_A rho(A) (recombine_A(w) - w);
 * ``solve_exact`` - the convex combination sum_A a_t(A) recombine_A(w0)
-  with coefficients from any of the exact routes in :mod:`.ancestral`;
+  with coefficients from any of the exact routes in :mod:`.ancestral`
+  (``exact_coefficients`` builds a route once for many times);
 * ``iterate_discrete`` - the per-generation map of probability-style
   models.
 
@@ -15,6 +16,7 @@ partition equals restarting the coefficient process from that partition.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -223,17 +225,24 @@ def integrate_grid(
     return Trajectory(times, states)
 
 
-def _coefficients_for(
-    d: RecombinationDistribution, t: float, method: str
-) -> CoefficientVector:
+def exact_coefficients(
+    d: RecombinationDistribution, times: Iterable[float], method: str
+) -> list[CoefficientVector]:
+    """a_t at each of `times` by one exact route, built once for all times
+    (one generator for ``semigroup``, one ``PsiTheta`` for ``recursion``)."""
+    times = [float(t) for t in times]
+    if method not in EXACT_METHODS:
+        raise DomainError(f"unknown method {method!r}; choose from {EXACT_METHODS}")
+    for t in times:
+        if not 0 <= t < math.inf:
+            raise DomainError(f"time must be finite and nonnegative, got {t}")
     if method == "semigroup":
-        index = PartitionIndex(d.ground)
-        return coefficients_semigroup(build_generator(d, index), t)
+        q = build_generator(d, PartitionIndex(d.ground))
+        return [coefficients_semigroup(q, t) for t in times]
     if method == "recursion":
-        return coefficients_recursion(compute_psi_theta(d), t)
-    if method == "single_crossover":
-        return coefficients_single_crossover(d, t)
-    raise DomainError(f"unknown method {method!r}; choose from {EXACT_METHODS}")
+        pt = compute_psi_theta(d)
+        return [coefficients_recursion(pt, t) for t in times]
+    return [coefficients_single_crossover(d, t) for t in times]
 
 
 def mixture_from_coefficients(
@@ -267,9 +276,7 @@ def solve_exact(
     """The solved state at time t as a coefficient-weighted mixture of
     recombined initial conditions."""
     _check_model_space(d, w0)
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    return mixture_from_coefficients(_coefficients_for(d, t, method), w0)
+    return mixture_from_coefficients(exact_coefficients(d, [t], method)[0], w0)
 
 
 def iterate_discrete(
@@ -287,7 +294,7 @@ def iterate_discrete(
         raise DomainError(
             "discrete-time iteration needs a probability-style model, not rates"
         )
-    if t < 0 or int(t) != t:
+    if not (t >= 0 and float(t).is_integer()):
         raise DomainError(f"generation count must be a nonnegative integer, got {t}")
     entries = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
     residual = d.residual_probability
@@ -317,14 +324,14 @@ def check_duality(
 
     Left: solve to time t, then recombine along b.  Right: restart the
     coefficient process from b and mix the recombined initial conditions.
-    Both sides are computed independently; the gap should sit at rounding
-    level (about 1e-10) for exact-lattice models.
+    Both sides use one generator, started from the one-block partition and
+    from b; the gap should sit at rounding level (about 1e-10) for
+    exact-lattice models.
     """
     _check_model_space(d, w0)
     if b.ground != d.ground:
         raise DomainError(f"{b.to_text()} is not a partition of {d.ground}")
-    index = PartitionIndex(d.ground)
-    q = build_generator(d, index)
-    left = solve_exact(d, w0, t, method="semigroup").product_over_blocks(b)
+    q = build_generator(d, PartitionIndex(d.ground))
+    left = mixture_from_coefficients(coefficients_semigroup(q, t), w0).product_over_blocks(b)
     right = mixture_from_coefficients(coefficients_semigroup(q, t, start=b), w0)
     return left.sup_distance(right)

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, SizeCapError
 from .measure import TypeDistribution, TypeSpace
-from .partitions import Partition
+from .partitions import Partition, count_label_rows
 from .rates import RecombinationDistribution
 
 
@@ -373,11 +373,8 @@ def arg_partition_frequencies(
 ) -> dict[Partition, int]:
     """Sample counts of the backward site partition (labels ignored)."""
     rows, _ = arg_replicates(d, N, t_end, seed, n_replicates)
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    return {
-        Partition.from_labels(uniq[i], d.ground): int(counts[i])
-        for i in range(uniq.shape[0])
-    }
+    partitions, _, counts = count_label_rows(rows, d.ground)
+    return dict(zip(partitions, counts.tolist()))
 
 
 def ancestry_reconstruct(

@@ -5,12 +5,17 @@ blocks sorted by their minimum element), which makes equality, hashing
 and the text encoding ``1,2|3,4`` unambiguous.  The lattice order used
 throughout is refinement: ``a`` refines ``b`` when every block of ``a``
 lies inside a block of ``b``; the meet is the coarsest common refinement.
+
+The exact-lattice code uses the *mask state* ``tuple(p.as_masks())``: block
+bitmasks (bit i: the i-th ground site) in ``Partition.blocks`` order.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DomainError, SizeCapError
 
@@ -202,6 +207,31 @@ class Partition:
         return f"Partition({self.to_text()!r})"
 
 
+def _lowest_bit(mask: int) -> int:
+    return mask & -mask
+
+
+def mask_state(masks: Iterable[int]) -> tuple[int, ...]:
+    """Canonical mask state of disjoint nonempty block masks."""
+    return tuple(sorted(masks, key=_lowest_bit))
+
+
+def count_label_rows(
+    rows: np.ndarray, ground: tuple[int, ...]
+) -> tuple[list[Partition], np.ndarray, np.ndarray]:
+    """Distinct rows of canonical site labels as partitions, in the order of
+    ``np.unique(rows, axis=0)``, each row's position and each one's count.
+
+    Rows compare as raw bytes: that order for labels in 0..127, and far
+    cheaper than sorting row records.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int8)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    labels = uniq.view(np.int8).reshape(-1, rows.shape[1])
+    return [Partition.from_labels(row, ground) for row in labels], inverse, counts
+
+
 def interval_partition(n: int, cuts: Iterable[int]) -> Partition:
     """Interval partition of {1,..,n} with a block boundary after each cut.
 
@@ -283,10 +313,11 @@ class PartitionIndex:
     The order is block count ascending with lexicographic tie-break on the
     canonical form; strict refinement strictly increases the block count,
     so any matrix whose entries point from coarser to finer partitions is
-    triangular with respect to this index.
+    triangular with respect to this index.  ``states`` holds the mask state
+    of each partition and ``position`` maps a mask state to its index.
     """
 
-    __slots__ = ("ground", "partitions", "position")
+    __slots__ = ("ground", "partitions", "states", "position")
 
     def __init__(self, ground: Iterable[int], site_cap: int = DEFAULT_SITE_CAP):
         self.ground = tuple(sorted(ground))
@@ -300,7 +331,8 @@ class PartitionIndex:
             )
         plist = sorted(all_partitions(self.ground), key=Partition.sort_key)
         self.partitions: tuple[Partition, ...] = tuple(plist)
-        self.position: dict[Partition, int] = {p: i for i, p in enumerate(plist)}
+        self.states: tuple[tuple[int, ...], ...] = tuple(tuple(p.as_masks()) for p in plist)
+        self.position: dict[tuple[int, ...], int] = {s: i for i, s in enumerate(self.states)}
 
     def __len__(self) -> int:
         return len(self.partitions)
@@ -312,12 +344,9 @@ class PartitionIndex:
         return self.partitions[i]
 
     def index_of(self, p: Partition) -> int:
-        try:
-            return self.position[p]
-        except KeyError:
-            raise DomainError(
-                f"{p.to_text()} is not a partition of {self.ground}"
-            ) from None
+        if p.ground != self.ground:
+            raise DomainError(f"{p.to_text()} is not a partition of {self.ground}")
+        return self.position[tuple(p.as_masks())]
 
     @property
     def one(self) -> Partition:

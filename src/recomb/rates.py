@@ -8,6 +8,12 @@ one-block partition).  Rates are rho(A) = mu * r(A).
 Marginal rates on a subset u sum rho over all partitions restricting to a
 given partition of u; only the stored support is enumerated, which keeps
 sparse models (e.g. single crossover, n-1 entries) cheap.
+
+The lattice layer works on site bitmasks (bit i: the i-th ground site) and
+mask states (see :mod:`.partitions`): ``split_table`` memoizes the marginal
+rates per subset mask and ``children`` is the refinement step on it.
+``block_split_rates``, ``split_rate`` and ``marginal_rate`` convert their
+site tuples and ``Partition`` objects at the edge and read the same table.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .partitions import Partition, cut_partition
+from .partitions import Partition, cut_partition, mask_state
 
 _SUM_TOL = 1e-9
 
@@ -25,7 +31,7 @@ _SUM_TOL = 1e-9
 class RecombinationDistribution:
     """Event rate mu plus probabilities on two-block site partitions."""
 
-    __slots__ = ("ground", "mu", "entries", "style")
+    __slots__ = ("ground", "mu", "entries", "style", "_masks", "_tables")
 
     def __init__(
         self,
@@ -66,6 +72,9 @@ class RecombinationDistribution:
                 f"two-block probabilities sum to {total}, which exceeds 1"
             )
         self.entries = clean
+        # block-1 mask of each entry, in entries order
+        self._masks = tuple(a.as_masks()[0] for a in clean)
+        self._tables: dict[int, tuple[float, tuple[tuple[int, int, float], ...]]] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -156,30 +165,57 @@ class RecombinationDistribution:
 
     # -- marginalization -------------------------------------------------
 
-    def _check_subset(self, u: tuple[int, ...]) -> None:
-        if not u:
+    def site_mask(self, sites: Iterable[int]) -> int:
+        """Bitmask of a nonempty site subset (bit i: the i-th ground site)."""
+        uu = sorted(set(sites))
+        if not uu:
             raise DomainError("site subset must be nonempty")
-        if not set(u).issubset(self.ground):
-            raise DomainError(f"{list(u)} is not a subset of {self.ground}")
+        if not set(uu).issubset(self.ground):
+            raise DomainError(f"{uu} is not a subset of {self.ground}")
+        return sum(1 << self.ground.index(s) for s in uu)
+
+    def split_table(self, u: int) -> tuple[float, tuple[tuple[int, int, float], ...]]:
+        """Marginal event rates on the site subset with mask u, memoized.
+
+        Returns (stay, splits): the rate of events keeping u whole (residual
+        included), and (part holding u's lowest site, rest, rho^u) for each
+        two-block restriction, summed in ``entries`` order.
+        """
+        table = self._tables.get(u)
+        if table is None:  # threads racing here store equal tables
+            low = u & -u
+            stay = self.mu * self.residual_probability
+            rates: dict[int, float] = {}
+            for m, r in zip(self._masks, self.entries.values()):
+                part = u & m
+                if part == 0 or part == u:
+                    stay += self.mu * r
+                else:
+                    part = part if part & low else u ^ part
+                    rates[part] = rates.get(part, 0.0) + self.mu * r
+            table = (stay, tuple((p, u ^ p, rate) for p, rate in rates.items()))
+            self._tables[u] = table
+        return table
+
+    def children(self, state: tuple[int, ...]):
+        """The refinement step: (child state, rate) per block split, blocks
+        in state order and splits in ``split_table`` order."""
+        for i, block in enumerate(state):
+            rest = state[:i] + state[i + 1:]
+            for p1, p2, rate in self.split_table(block)[1]:
+                yield mask_state(rest + (p1, p2)), rate
 
     def marginal_rate(self, u: Iterable[int], b: Partition) -> float:
         """Sum of rho(A) over all events A whose restriction to u equals b."""
         uu = tuple(sorted(set(u)))
-        self._check_subset(uu)
+        stay, _ = self.split_table(self.site_mask(uu))
         if b.ground != uu:
             raise DomainError(f"{b.to_text()} is not a partition of {list(uu)}")
         if b.n_blocks > 2:
             raise DomainError(
                 f"{b.to_text()} has {b.n_blocks} blocks; marginals live on <= 2"
             )
-        total = 0.0
-        if b.n_blocks == 1:
-            # the one-block event (residual) restricts to b on every subset
-            total += self.mu * self.residual_probability
-        for a, r in self.entries.items():
-            if a.restrict(uu) == b:
-                total += self.mu * r
-        return total
+        return stay if b.n_blocks == 1 else self.block_split_rates(uu).get(b, 0.0)
 
     def marginal_probability(self, u: Iterable[int], b: Partition) -> float:
         """r^u(b) = marginal_rate / mu (same sum with r in place of rho)."""
@@ -188,23 +224,15 @@ class RecombinationDistribution:
     def block_split_rates(self, u: Iterable[int]) -> dict[Partition, float]:
         """All two-block marginal rates on u with positive mass.
 
-        Keys are two-block partitions of u; values are rho^u.  Computed by
-        restricting the support, so cost is O(|support|).
+        Keys are two-block partitions of u; values are rho^u, read from
+        ``split_table``.
         """
-        uu = tuple(sorted(set(u)))
-        self._check_subset(uu)
-        out: dict[Partition, float] = {}
-        if len(uu) == 1:
-            return out
-        for a, r in self.entries.items():
-            c = a.restrict(uu)
-            if c.n_blocks == 2:
-                out[c] = out.get(c, 0.0) + self.mu * r
-        return out
+        _, splits = self.split_table(self.site_mask(u))
+        return {Partition.from_masks(pair, self.ground): rate for *pair, rate in splits}
 
     def split_rate(self, u: Iterable[int]) -> float:
         """Total rate at which the subset u is separated into two parts."""
-        return sum(self.block_split_rates(u).values())
+        return sum(rate for _, _, rate in self.split_table(self.site_mask(u))[1])
 
     # -- structure tests ---------------------------------------------------
 

@@ -301,6 +301,9 @@ def test_coefficients_discrete_basics(model3, index3):
         coefficients_discrete(m, -1)
     with pytest.raises(DomainError):
         coefficients_discrete(m, 1.5)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            coefficients_discrete(m, t)
 
 
 # ---------------------------------------------------------------------------

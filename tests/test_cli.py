@@ -273,6 +273,24 @@ def test_recursion_refused_on_tied_rates(configs, tmp_path):
     assert "collide" in res.stderr
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("method", ["semigroup", "single_crossover"])
+def test_coefficients_refuse_non_finite_time(tmp_path, value, method):
+    path = tmp_path / "model.json"
+    recomb = {"n": 3, "style": "rate", "entries": [
+        {"partition": "1|2,3", "value": 0.4}, {"partition": "1,2|3", "value": 0.9},
+    ]}
+    path.write_text(json.dumps({"recombination": recomb, "run": {"t": 1.0}}).replace(
+        '"t": 1.0', f'"t": {value}'))
+    out = tmp_path / "out"
+    res = run_cli("coefficients", "--config", str(path), "--out", str(out),
+                  "--method", method)
+    assert res.returncode == 2, res.stderr
+    assert "config.run.t: must be finite" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (out / "coefficients.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------

@@ -111,6 +111,38 @@ def test_run_block_validation(patch, fragment):
         ModelConfig.parse(cfg(lambda d: patch(d["run"])))
 
 
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        (lambda r, v: r.update(t=v), "config.run.t"),
+        (lambda r, v: r.update(dt=v), "config.run.dt"),
+        (lambda r, v: (r.pop("t"), r.update(t_grid=[0.5, v])), r"config.run.t_grid\[1\]"),
+        (
+            lambda r, v: (r.pop("t"), r.update(t_grid={"start": 0, "stop": v, "steps": 3})),
+            "config.run.t_grid.stop",
+        ),
+    ],
+    ids=["t", "dt", "t_grid-list", "t_grid-stop"],
+)
+def test_non_finite_reals_refused(patch, path, bad):
+    with pytest.raises(ConfigError, match=f"{path}: must be finite"):
+        ModelConfig.parse(cfg(lambda d: patch(d["run"], bad)))
+
+
+def test_non_finite_reals_refused_in_json_text():
+    text = json.dumps(cfg()).replace('"t": 1.0', '"t": NaN')
+    assert "NaN" in text
+    with pytest.raises(ConfigError, match="config.run.t: must be finite"):
+        ModelConfig.parse(json.loads(text))
+    mass = cfg(lambda d: d["initial"]["entries"][0].update(mass=float("inf")))
+    with pytest.raises(ConfigError, match=r"entries\[0\].mass: must be finite"):
+        ModelConfig.parse(mass)
+
+
 def test_grid_list_form():
     spec = RunSpec.parse({"t_grid": [0, 0.5, 1]})
     assert spec.t_grid == [0.0, 0.5, 1.0]

@@ -15,8 +15,14 @@ from recomb import (
     TypeDistribution,
     TypeSpace,
     build_discrete_matrix,
+    build_generator,
     check_duality,
     coefficients_discrete,
+    coefficients_recursion,
+    coefficients_semigroup,
+    coefficients_single_crossover,
+    compute_psi_theta,
+    exact_coefficients,
     integrate,
     integrate_grid,
     iterate_discrete,
@@ -154,6 +160,43 @@ def test_solve_exact_validation(model3, w0_3, w0_2):
         solve_exact(model3, w0_2, 1.0)
 
 
+def test_exact_coefficients_build_once_for_all_times(model3):
+    times = [0.0, 0.4, 2.5]
+    q = build_generator(model3, PartitionIndex(model3.ground))
+    pt = compute_psi_theta(model3)
+    semi = exact_coefficients(model3, times, "semigroup")
+    rec = exact_coefficients(model3, times, "recursion")
+    for t, a, b in zip(times, semi, rec):
+        assert np.array_equal(a.values, coefficients_semigroup(q, t).values)
+        assert np.array_equal(b.values, coefficients_recursion(pt, t).values)
+    d = RecombinationDistribution.single_crossover([0.3, 0.8])
+    [closed] = exact_coefficients(d, [1.5], "single_crossover")
+    assert np.array_equal(closed.values, coefficients_single_crossover(d, 1.5).values)
+    assert exact_coefficients(model3, [], "semigroup") == []
+    with pytest.raises(DomainError, match="unknown method"):
+        exact_coefficients(model3, [1.0], "magic")
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+def test_exact_routes_refuse_bad_times(model3, w0_3, t):
+    d = RecombinationDistribution.single_crossover([0.3, 0.8])
+    for method in ("semigroup", "recursion", "single_crossover"):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            exact_coefficients(d, [1.0, t], method)
+    q = build_generator(model3, PartitionIndex(model3.ground))
+    for route, arg in (
+        (coefficients_semigroup, q),
+        (coefficients_recursion, compute_psi_theta(model3)),
+        (coefficients_single_crossover, d),
+    ):
+        with pytest.raises(DomainError):
+            route(arg, t)
+    with pytest.raises(DomainError):
+        solve_exact(model3, w0_3, t)
+    with pytest.raises(DomainError):
+        check_duality(model3, w0_3, P("1|2,3"), t)
+
+
 def test_mixture_ground_mismatch(model2, w0_3):
     from recomb import build_generator, coefficients_semigroup
 
@@ -211,6 +254,9 @@ def test_discrete_validation(model2, model3, w0_2, w0_3):
         iterate_discrete(model3, w0_3, 1.5)
     with pytest.raises(DomainError):
         iterate_discrete(model3, w0_2, 2)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            iterate_discrete(model3, w0_3, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,21 @@
+"""Package structure: no module reaches into a sibling's private names."""
+
+import ast
+from pathlib import Path
+
+import recomb
+
+SRC = Path(recomb.__file__).resolve().parent
+
+
+def test_no_private_names_imported_from_sibling_modules():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                offenders += [
+                    f"{path.name}: from .{node.module} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert offenders == []
