@@ -82,6 +82,7 @@ from .partitions import (
     cut_partition,
     interval_partition,
     refinements,
+    shared_index,
     two_block_partitions,
 )
 from .rates import RecombinationDistribution
@@ -144,6 +145,7 @@ __all__ = [
     "reconstruct_replicates",
     "refinements",
     "rhs",
+    "shared_index",
     "simulate_arg",
     "simulate_moran",
     "simulate_moran_grid",

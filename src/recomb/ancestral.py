@@ -17,7 +17,9 @@ The generator, the discrete matrix and ``PsiTheta`` run on mask states
 (see :mod:`.partitions`) with rates from ``RecombinationDistribution``'s
 split table and its refinement step ``children``.  ``Partition`` objects
 are converted at the edge only: by ``PartitionIndex``, ``exit_rate`` and
-``PsiTheta.psi``/``theta``/``ground_table``.
+``PsiTheta.psi``/``theta``/``ground_table``.  ``PartitionMatrix`` stores
+sorted COO arrays; the semigroup and discrete routes step row vectors
+through them with one gather and one ``np.bincount`` per step.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, NonGenericRatesError
-from .partitions import Partition, PartitionIndex, count_label_rows, mask_state
+from .partitions import (
+    Partition,
+    PartitionIndex,
+    count_label_rows,
+    mask_state,
+    shared_index,
+)
 from .rates import RecombinationDistribution
 
 #: uniformization truncation: stop once the Poisson weights used cover
@@ -42,12 +50,22 @@ _MAX_LAMBDA_T = 500.0
 #: relative gap under which two exit rates count as colliding (the
 #: exponential-mixture form requires pairwise distinct rates).
 _GENERIC_RTOL = 1e-9
+#: rows of the identity per uniformization pass in ``transition_semigroup``
+#: are chosen so that a pass gathers about this many stored entries.
+_BLOCK_ENTRIES = 1 << 18
 
 
 class PartitionMatrix:
-    """Dense real matrix indexed by partitions on both axes."""
+    """Sparse real matrix indexed by partitions on both axes.
 
-    __slots__ = ("index", "values")
+    Stored as COO arrays sorted by row: ``rows`` and ``cols`` (int64) and
+    ``data`` (float64); entries not stored are zero.  The constructor takes
+    a dense array and stores its nonzero entries and its whole diagonal;
+    ``values`` is a dense read-only copy built on each access, for callers
+    at the API edge.
+    """
+
+    __slots__ = ("index", "rows", "cols", "data")
 
     def __init__(self, index: PartitionIndex, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -55,17 +73,59 @@ class PartitionMatrix:
             raise DomainError(
                 f"matrix shape {values.shape} does not match index size {len(index)}"
             )
+        self._store(index, *_dense_entries(values))
+
+    @classmethod
+    def _from_entries(cls, index: PartitionIndex, rows, cols, data) -> "PartitionMatrix":
+        """The matrix of entries listed by row (no (row, col) twice)."""
+        m = cls.__new__(cls)
+        m._store(index, rows, cols, data)
+        return m
+
+    def _store(self, index: PartitionIndex, rows, cols, data) -> None:
         self.index = index
-        self.values = values
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.data = np.asarray(data, dtype=np.float64)
+
+    @property
+    def values(self) -> np.ndarray:
+        size = len(self.index)
+        dense = np.zeros((size, size))
+        dense[self.rows, self.cols] = self.data
+        dense.flags.writeable = False
+        return dense
+
+    def _span(self, a: Partition) -> slice:
+        i = self.index.index_of(a)
+        lo, hi = np.searchsorted(self.rows, (i, i + 1))
+        return slice(lo, hi)
 
     def entry(self, a: Partition, b: Partition) -> float:
-        return float(self.values[self.index.index_of(a), self.index.index_of(b)])
+        span = self._span(a)
+        hit = np.flatnonzero(self.cols[span] == self.index.index_of(b))
+        return float(self.data[span][hit[0]]) if hit.size else 0.0
 
     def row(self, a: Partition) -> np.ndarray:
-        return self.values[self.index.index_of(a)].copy()
+        span = self._span(a)
+        out = np.zeros(len(self.index))
+        out[self.cols[span]] = self.data[span]
+        return out
 
     def __repr__(self) -> str:
-        return f"PartitionMatrix(n={len(self.index.ground)}, size={len(self.index)})"
+        return (
+            f"PartitionMatrix(n={len(self.index.ground)}, size={len(self.index)}, "
+            f"nnz={len(self.data)})"
+        )
+
+
+def _dense_entries(values: np.ndarray, lo: int = 0):
+    """(rows, cols, data) of the nonzero and diagonal entries of the dense
+    rows lo, lo + 1, ... of a matrix, by row."""
+    keep = values != 0.0
+    keep[np.arange(len(values)), np.arange(lo, lo + len(values))] = True
+    rows, cols = np.nonzero(keep)
+    return rows + lo, cols, values[rows, cols]
 
 
 class CoefficientVector:
@@ -116,19 +176,25 @@ def build_generator(d: RecombinationDistribution, index: PartitionIndex) -> Part
     From state A, each block independently splits into an unordered pair
     at its two-block marginal rate; the diagonal balances each row.
     Nonzero off-diagonals always point from coarser to strictly finer
-    partitions, so the matrix is triangular in index order.
+    partitions, so the matrix is triangular in index order.  Every row
+    stores its diagonal entry, -0.0 on states that never split.
     """
     if index.ground != d.ground:
         raise DomainError(f"index ground {index.ground} does not match {d.ground}")
-    size = len(index)
-    q = np.zeros((size, size))
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
     for i, state in enumerate(index.states):
         total = 0.0
         for child, rate in d.children(state):
-            q[i, index.position[child]] = rate
+            rows.append(i)
+            cols.append(index.position[child])
+            data.append(rate)
             total += rate
-        q[i, i] = -total
-    return PartitionMatrix(index, q)
+        rows.append(i)
+        cols.append(i)
+        data.append(-total)
+    return PartitionMatrix._from_entries(index, rows, cols, data)
 
 
 def _poisson_weights(lt: float) -> list[float]:
@@ -153,29 +219,41 @@ def _poisson_weights(lt: float) -> list[float]:
     return weights
 
 
-def _expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """v @ e^{tQ} by uniformization (Poisson mixture of powers).
+def _expm_action(q: PartitionMatrix, v: np.ndarray, t: float) -> np.ndarray:
+    """v @ e^{tQ} by uniformization (Poisson mixture of powers of P).
 
-    A horizon with lambda*t beyond 500 is split into equal subintervals
-    to keep the Poisson series well-conditioned; see `_poisson_weights`
-    for where each series is truncated.
+    v is one row vector or a block of row vectors (k, size).  P = I + Q/lambda
+    with lambda the largest exit rate, kept as Q's sparse entries: q/lambda
+    off the diagonal and 1 + q_ii/lambda on it.  Each Poisson term is one
+    sparse step, a gather over the stored rows and a ``bincount`` over
+    their columns (the block's rows are laid end to end).  A horizon with
+    lambda*t beyond 500 is split into equal subintervals to keep the
+    Poisson series well-conditioned; see `_poisson_weights` for where
+    each series is truncated.
     """
-    lam = float(-q.diagonal().min())
+    diagonal = q.rows == q.cols
+    lam = float(-q.data[diagonal].min())
     if not lam * t > 0.0:
-        return v.copy()
-    p = np.eye(q.shape[0]) + q / lam
+        return np.array(v, dtype=float)
+    scaled = q.data / lam
+    size = len(q.index)
+    k = v.size // size
+    shift = np.arange(0, k * size, size)[:, None]
+    rows = (shift + q.rows).ravel()
+    cols = (shift + q.cols).ravel()
+    p = np.tile(np.where(diagonal, 1.0 + scaled, scaled), k)
     n_chunks = max(1, int(math.ceil(lam * t / _MAX_LAMBDA_T)))
     dt = t / n_chunks
-    out = v.astype(float).copy()
+    out = np.array(v, dtype=float).ravel()
     for _ in range(n_chunks):
         weights = _poisson_weights(lam * dt)
         term = out
         acc = weights[0] * term
         for weight in weights[1:]:
-            term = term @ p
-            acc = acc + weight * term
+            term = np.bincount(cols, weights=term[rows] * p, minlength=out.size)
+            acc += weight * term
         out = acc
-    return out
+    return out.reshape(v.shape)
 
 
 def _check_time(t: float) -> None:
@@ -184,9 +262,21 @@ def _check_time(t: float) -> None:
 
 
 def transition_semigroup(q: PartitionMatrix, t: float) -> PartitionMatrix:
-    """The stochastic matrix e^{tQ} on the partition lattice."""
+    """The stochastic matrix e^{tQ} on the partition lattice.
+
+    The rows of the identity are carried through the sparse uniformization
+    in blocks, and each block's result is stored as it comes; no size x size
+    array is formed.
+    """
     _check_time(t)
-    return PartitionMatrix(q.index, _expm_action(q.values, np.eye(len(q.index)), t))
+    size = len(q.index)
+    step = max(1, _BLOCK_ENTRIES // len(q.data))
+    entries = []
+    for lo in range(0, size, step):
+        block = np.eye(min(step, size - lo), size, lo)
+        entries.append(_dense_entries(_expm_action(q, block, t), lo))
+    rows, cols, data = (np.concatenate(part) for part in zip(*entries))
+    return PartitionMatrix._from_entries(q.index, rows, cols, data)
 
 
 def coefficients_semigroup(
@@ -194,14 +284,14 @@ def coefficients_semigroup(
 ) -> CoefficientVector:
     """Row `start` of e^{tQ}: the law of the process at time t.
 
-    Computed as a vector iteration so only O(size^2) work per Poisson
-    term is needed; never forms the full exponential.
+    Computed as a vector iteration, one sparse step per Poisson term
+    (work proportional to Q's stored entries); never forms the exponential.
     """
     _check_time(t)
     index = q.index
     v = np.zeros(len(index))
     v[index.index_of(index.one if start is None else start)] = 1.0
-    return CoefficientVector(index, _expm_action(q.values, v, t))
+    return CoefficientVector(index, _expm_action(q, v, t))
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +326,7 @@ class PsiTheta:
 
     def __init__(self, d: RecombinationDistribution, index: PartitionIndex | None = None):
         self.d = d
-        self.index = index if index is not None else PartitionIndex(d.ground)
+        self.index = index if index is not None else shared_index(d.ground)
         self._table = self._build((1 << d.n_sites) - 1, {})
 
     # -- exit rates -----------------------------------------------------
@@ -349,7 +439,7 @@ def coefficients_single_crossover(
         raise DomainError(
             "not a single-crossover model: support contains a non-interval split"
         )
-    index = PartitionIndex(d.ground)
+    index = shared_index(d.ground)
     survive = [math.exp(-t * d.cut_rate(k)) for k in range(1, d.n_sites)]
     out = np.zeros(len(index))
     for p in index.interval_partitions():
@@ -447,8 +537,9 @@ def build_discrete_matrix(
         )
     if index.ground != d.ground:
         raise DomainError(f"index ground {index.ground} does not match {d.ground}")
-    size = len(index)
-    m = np.zeros((size, size))
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
     for i, state in enumerate(index.states):
         options_per_block = []
         for b in state:
@@ -462,19 +553,21 @@ def build_discrete_matrix(
             for c, p in combo:
                 blocks.extend(c)
                 prob *= p
-            m[i, index.position[mask_state(blocks)]] = prob
-    return PartitionMatrix(index, m)
+            rows.append(i)
+            cols.append(index.position[mask_state(blocks)])
+            data.append(prob)
+    return PartitionMatrix._from_entries(index, rows, cols, data)
 
 
 def coefficients_discrete(
     m: PartitionMatrix, t: int, start: Partition | None = None
 ) -> CoefficientVector:
-    """Row `start` of M^t by iterated vector-matrix products."""
+    """Row `start` of M^t by iterated sparse vector-matrix steps."""
     if not (t >= 0 and float(t).is_integer()):
         raise DomainError(f"generation count must be a nonnegative integer, got {t}")
     index = m.index
     v = np.zeros(len(index))
     v[index.index_of(index.one if start is None else start)] = 1.0
     for _ in range(int(t)):
-        v = v @ m.values
+        v = np.bincount(m.cols, weights=v[m.rows] * m.data, minlength=len(index))
     return CoefficientVector(index, v)

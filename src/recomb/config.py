@@ -9,11 +9,10 @@ the chosen mode actually needs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ConfigError, DomainError, SizeCapError
+from .errors import ConfigError, DomainError, SizeCapError, config_real
 from .measure import TypeDistribution, TypeSpace
 from .rates import RecombinationDistribution
 
@@ -61,18 +60,6 @@ def _positive_int(value, path: str) -> int:
     return value
 
 
-def _real(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a real number")
-    try:
-        real = float(value)
-    except OverflowError:  # an int beyond the float range
-        real = math.inf
-    if not math.isfinite(real):
-        raise ConfigError(f"{path}: must be finite, got {real}")
-    return real
-
-
 @dataclass
 class RunSpec:
     """The run block; modes pick the fields they need."""
@@ -100,13 +87,13 @@ class RunSpec:
         if "t" in data and "t_grid" in data:
             raise ConfigError(f"{path}: give either t or t_grid, not both")
         if "t" in data:
-            spec.t = _real(data["t"], f"{path}.t")
+            spec.t = config_real(data["t"], f"{path}.t")
             if spec.t < 0:
                 raise ConfigError(f"{path}.t: must be nonnegative")
         if "t_grid" in data:
             spec.t_grid = cls._parse_grid(data["t_grid"], f"{path}.t_grid")
         if "dt" in data:
-            spec.dt = _real(data["dt"], f"{path}.dt")
+            spec.dt = config_real(data["dt"], f"{path}.dt")
             if spec.dt <= 0:
                 raise ConfigError(f"{path}.dt: must be positive, got {spec.dt}")
         if "method" in data:
@@ -140,14 +127,14 @@ class RunSpec:
         if isinstance(raw, list):
             if not raw:
                 raise ConfigError(f"{path}: must not be empty")
-            grid = [_real(v, f"{path}[{i}]") for i, v in enumerate(raw)]
+            grid = [config_real(v, f"{path}[{i}]") for i, v in enumerate(raw)]
         elif isinstance(raw, Mapping):
             _reject_unknown(raw, ("start", "stop", "steps"), path)
             for field in ("start", "stop", "steps"):
                 if field not in raw:
                     raise ConfigError(f"{path}.{field}: required")
-            start = _real(raw["start"], f"{path}.start")
-            stop = _real(raw["stop"], f"{path}.stop")
+            start = config_real(raw["start"], f"{path}.start")
+            stop = config_real(raw["stop"], f"{path}.stop")
             steps = _positive_int(raw["steps"], f"{path}.steps")
             if stop < start:
                 raise ConfigError(f"{path}: stop must be >= start")
@@ -276,7 +263,7 @@ class ModelConfig:
                 _reject_unknown(item, ("type", "mass"), ipath)
                 if "type" not in item or "mass" not in item:
                     raise ConfigError(f"{ipath}: needs both type and mass")
-                pairs.append((item["type"], _real(item["mass"], f"{ipath}.mass")))
+                pairs.append((item["type"], config_real(item["mass"], f"{ipath}.mass")))
             try:
                 dist = TypeDistribution.from_pairs(space, pairs)
             except (DomainError, TypeError) as exc:

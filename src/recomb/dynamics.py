@@ -24,7 +24,6 @@ import numpy as np
 from . import _kernels
 from .ancestral import (
     CoefficientVector,
-    PartitionIndex,
     build_generator,
     coefficients_recursion,
     coefficients_semigroup,
@@ -33,7 +32,7 @@ from .ancestral import (
 )
 from .errors import DomainError, MassDriftError, SizeCapError
 from .measure import TypeDistribution, TypeSpace
-from .partitions import Partition
+from .partitions import Partition, shared_index
 from .rates import RecombinationDistribution
 
 #: hard error threshold for |mass - 1| along integrated trajectories.
@@ -237,7 +236,7 @@ def exact_coefficients(
         if not 0 <= t < math.inf:
             raise DomainError(f"time must be finite and nonnegative, got {t}")
     if method == "semigroup":
-        q = build_generator(d, PartitionIndex(d.ground))
+        q = build_generator(d, shared_index(d.ground))
         return [coefficients_semigroup(q, t) for t in times]
     if method == "recursion":
         pt = compute_psi_theta(d)
@@ -331,7 +330,7 @@ def check_duality(
     _check_model_space(d, w0)
     if b.ground != d.ground:
         raise DomainError(f"{b.to_text()} is not a partition of {d.ground}")
-    q = build_generator(d, PartitionIndex(d.ground))
+    q = build_generator(d, shared_index(d.ground))
     left = mixture_from_coefficients(coefficients_semigroup(q, t), w0).product_over_blocks(b)
     right = mixture_from_coefficients(coefficients_semigroup(q, t, start=b), w0)
     return left.sup_distance(right)

@@ -1,10 +1,12 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the config-number rule.
 
 The CLI maps these onto stable exit codes: configuration problems exit 2,
 numerical preconditions exit 3, cross-validation tolerance breaches exit 4.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class RecombError(Exception):
@@ -19,7 +21,7 @@ class DomainError(RecombError, ValueError):
 class SizeCapError(DomainError):
     """An exact-lattice method was asked for a ground set beyond the
     configured cap; the number of partitions grows like the Bell numbers
-    (B(8) = 4140, B(12) > 4.2e6), so dense matrices become infeasible."""
+    (B(8) = 4140, B(12) > 4.2e6), so enumerating them becomes infeasible."""
 
 
 class ConfigError(RecombError, ValueError):
@@ -38,3 +40,20 @@ class MassDriftError(RecombError, ArithmeticError):
 
 class CrosscheckError(RecombError):
     """Independent solution methods disagree beyond the requested tolerance."""
+
+
+def config_real(value, path: str) -> float:
+    """A real number from a parsed config: a JSON int or float, finite.
+
+    Refuses booleans, strings, NaN, +-Infinity and ints beyond the float
+    range with a ConfigError naming the field at `path`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a real number")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ConfigError(f"{path}: must be finite, got {real}")
+    return real

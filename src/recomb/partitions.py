@@ -12,15 +12,17 @@ bitmasks (bit i: the i-th ground site) in ``Partition.blocks`` order.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DomainError, SizeCapError
 
 #: largest ground-set size for which exact-lattice methods will enumerate
-#: all partitions by default; Bell(8) = 4140 keeps dense matrices small.
+#: all partitions by default; Bell(8) = 4140 states.
 DEFAULT_SITE_CAP = 8
 
 
@@ -315,6 +317,7 @@ class PartitionIndex:
     so any matrix whose entries point from coarser to finer partitions is
     triangular with respect to this index.  ``states`` holds the mask state
     of each partition and ``position`` maps a mask state to its index.
+    The exact routes share one index per ground set: see :func:`shared_index`.
     """
 
     __slots__ = ("ground", "partitions", "states", "position")
@@ -332,7 +335,9 @@ class PartitionIndex:
         plist = sorted(all_partitions(self.ground), key=Partition.sort_key)
         self.partitions: tuple[Partition, ...] = tuple(plist)
         self.states: tuple[tuple[int, ...], ...] = tuple(tuple(p.as_masks()) for p in plist)
-        self.position: dict[tuple[int, ...], int] = {s: i for i, s in enumerate(self.states)}
+        self.position: Mapping[tuple[int, ...], int] = MappingProxyType(
+            {s: i for i, s in enumerate(self.states)}
+        )
 
     def __len__(self) -> int:
         return len(self.partitions)
@@ -362,3 +367,17 @@ class PartitionIndex:
 
     def interval_partitions(self) -> list[Partition]:
         return [p for p in self.partitions if p.is_interval()]
+
+
+def shared_index(ground: Iterable[int]) -> PartitionIndex:
+    """The one ``PartitionIndex`` of a ground set at the default cap.
+
+    Built on first use and then shared by every caller in the process (the
+    last 16 ground sets are kept); treat it as read-only.
+    """
+    return _shared_index(tuple(sorted(ground)))
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_index(ground: tuple[int, ...]) -> PartitionIndex:
+    return PartitionIndex(ground)

@@ -18,11 +18,12 @@ site tuples and ``Partition`` objects at the edge and read the same table.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_real
 from .partitions import Partition, cut_partition, mask_state
 
 _SUM_TOL = 1e-9
@@ -44,8 +45,8 @@ class RecombinationDistribution:
         if not self.ground:
             raise DomainError("ground set must be nonempty")
         self.mu = float(mu)
-        if not self.mu > 0:
-            raise DomainError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise DomainError(f"mu must be positive and finite, got {self.mu}")
         if style not in ("probability", "rate"):
             raise DomainError(f"unknown style {style!r}")
         self.style = style
@@ -60,8 +61,10 @@ class RecombinationDistribution:
                     f"entry {a.to_text()} has {a.n_blocks} blocks; exactly 2 required"
                 )
             r = float(r)
-            if r < 0:
-                raise DomainError(f"negative probability {r} for {a.to_text()}")
+            if not 0 <= r < math.inf:
+                raise DomainError(
+                    f"probability {r} for {a.to_text()} must be nonnegative and finite"
+                )
             if a in clean:
                 raise DomainError(f"duplicate entry for {a.to_text()}")
             if r > 0:
@@ -96,11 +99,13 @@ class RecombinationDistribution:
         mu is the implied total; probabilities are rho(A)/mu.
         """
         residual_rate = float(residual_rate)
-        if residual_rate < 0:
-            raise DomainError(f"residual rate must be nonnegative, got {residual_rate}")
+        if not 0 <= residual_rate < math.inf:
+            raise DomainError(
+                f"residual rate must be nonnegative and finite, got {residual_rate}"
+            )
         for a, v in rates.items():
-            if float(v) < 0:
-                raise DomainError(f"negative rate {v} for {a.to_text()}")
+            if not 0 <= float(v) < math.inf:
+                raise DomainError(f"rate {v} for {a.to_text()} must be nonnegative and finite")
         mu = sum(float(v) for v in rates.values()) + residual_rate
         if not mu > 0:
             raise DomainError("all rates zero: total event rate must be positive")
@@ -304,10 +309,9 @@ class RecombinationDistribution:
                 part = Partition.from_text(str(item["partition"]))
             except (KeyError, DomainError) as exc:
                 raise ConfigError(f"{ipath}.partition: {exc}") from None
-            try:
-                value = float(item["value"])
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(f"{ipath}.value: required real number") from None
+            if "value" not in item:
+                raise ConfigError(f"{ipath}.value: required real number")
+            value = config_real(item["value"], f"{ipath}.value")
             if part.ground != ground:
                 raise ConfigError(
                     f"{ipath}.partition: {part.to_text()} is not a partition of 1..{n}"
@@ -321,18 +325,13 @@ class RecombinationDistribution:
                     raise ConfigError(
                         f"{path}.residual_rate: only valid with style 'rate'"
                     )
-                try:
-                    mu = float(cfg["mu"])
-                except (KeyError, TypeError, ValueError):
-                    raise ConfigError(f"{path}.mu: required positive real") from None
+                if "mu" not in cfg:
+                    raise ConfigError(f"{path}.mu: required positive real")
+                mu = config_real(cfg["mu"], f"{path}.mu")
                 return cls.from_probabilities(ground, mu, entries)
             if "mu" in cfg:
                 raise ConfigError(f"{path}.mu: only valid with style 'probability'")
-            residual = cfg.get("residual_rate", 0.0)
-            try:
-                residual = float(residual)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{path}.residual_rate: expected a real number") from None
+            residual = config_real(cfg.get("residual_rate", 0.0), f"{path}.residual_rate")
             return cls.from_rates(ground, entries, residual)
         except DomainError as exc:
             raise ConfigError(f"{path}: {exc}") from None

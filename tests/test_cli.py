@@ -291,6 +291,31 @@ def test_coefficients_refuse_non_finite_time(tmp_path, value, method):
     assert not (out / "coefficients.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "style, field, value",
+    [
+        ("probability", "value", "NaN"),
+        ("probability", "value", '"0.3"'),
+        ("probability", "mu", "Infinity"),
+        ("rate", "value", "Infinity"),
+        ("rate", "residual_rate", "NaN"),
+    ],
+)
+def test_model_numbers_must_be_finite_reals(tmp_path, style, field, value):
+    path = tmp_path / "model.json"
+    recomb = {"n": 3, "style": style, "entries": [{"partition": "1|2,3", "value": 0.4}]}
+    recomb["mu" if style == "probability" else "residual_rate"] = 1.0
+    text = json.dumps({"recombination": recomb, "run": {"t": 1.0}})
+    target = '"value": 0.4' if field == "value" else f'"{field}": 1.0'
+    path.write_text(text.replace(target, f'"{field}": {value}'))
+    out = tmp_path / "out"
+    res = run_cli("coefficients", "--config", str(path), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert f".{field}: " in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (out / "coefficients.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
-"""The bitmask lattice core against Partition-object references.
+"""The bitmask lattice core against Partition-object and dense references.
 
 The reference builders below are the generator, discrete-matrix and
 mixture-weight constructions as first written on ``Partition`` objects
 (``block_split_rates``, ``marginal_rate``, ``refinements``, ``restrict``,
 ``refines``).  The package now builds all three on mask states from one
 split table; the generator and the discrete matrix must match the
-references bitwise, the weights to rounding.
+references bitwise, the weights to rounding.  ``reference_expm_action`` is
+the uniformization as first written on a dense generator; the sparse one
+must match it to rounding.
 """
 
 import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,16 +21,23 @@ import pytest
 from recomb import (
     Partition,
     PartitionIndex,
+    PartitionMatrix,
     RecombinationDistribution,
     ancestral,
     build_discrete_matrix,
     build_generator,
     cli,
+    coefficients_discrete,
+    coefficients_semigroup,
     compute_psi_theta,
     dynamics,
+    partitions,
     refinements,
+    shared_index,
+    transition_semigroup,
     two_block_partitions,
 )
+from recomb.ancestral import _poisson_weights
 
 
 def reference_generator(d, index):
@@ -127,6 +138,26 @@ def reference_theta(d):
         return table
 
     return table_of(d.ground)
+
+
+def reference_expm_action(q, v, t):
+    """v @ e^{tQ} by uniformization with a dense P = I + Q/lambda."""
+    lam = float(-q.diagonal().min())
+    if not lam * t > 0.0:
+        return v.copy()
+    p = np.eye(q.shape[0]) + q / lam
+    n_chunks = max(1, int(math.ceil(lam * t / 500.0)))
+    dt = t / n_chunks
+    out = v.astype(float).copy()
+    for _ in range(n_chunks):
+        weights = _poisson_weights(lam * dt)
+        term = out
+        acc = weights[0] * term
+        for weight in weights[1:]:
+            term = term @ p
+            acc = acc + weight * term
+        out = acc
+    return out
 
 
 def general_model(n, seed):
@@ -249,3 +280,117 @@ def test_crosscheck_builds_each_route_once(monkeypatch, tmp_path):
     report = json.loads((tmp_path / "crosscheck.json").read_text())
     assert report["routes"] == ["semigroup", "recursion", "single_crossover"]
     assert report["max_deviation"] <= 1e-10
+
+
+@pytest.fixture(
+    scope="module",
+    params=["model3", "general5", "general6", "general8", "crossover8"],
+)
+def semigroup_model(request, model3):
+    if request.param == "model3":
+        return model3
+    if request.param == "crossover8":
+        return crossover_model(8, 8)
+    n = int(request.param[-1])
+    return general_model(n, n)
+
+
+def test_semigroup_matches_the_dense_reference(semigroup_model):
+    d = semigroup_model
+    q = build_generator(d, shared_index(d.ground))
+    dense = q.values
+    start = np.zeros(len(q.index))
+    start[0] = 1.0
+    for t in (0.1, 1.0, 10.0, 700.0):
+        got = coefficients_semigroup(q, t).values
+        want = reference_expm_action(dense, start, t)
+        assert np.max(np.abs(got - want)) <= 1e-14, t
+
+
+def test_generator_and_semigroup_stay_sparse_at_the_cap():
+    d = general_model(8, 8)
+    index = shared_index(d.ground)
+    assert len(index) == 4140
+    tracemalloc.start()
+    try:
+        q = build_generator(d, index)
+        coefficients_semigroup(q, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 4140 x 4140 float64 array alone is 131 MiB
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_entry_and_row_read_the_dense_view(model3):
+    d = general_model(5, 5)
+    index = shared_index(d.ground)
+    matrices = [build_generator(model3, shared_index(model3.ground)),
+                build_generator(d, index), build_discrete_matrix(d, index)]
+    for m in matrices:
+        dense = m.values
+        assert not dense.flags.writeable
+        for i, a in enumerate(m.index):
+            assert np.array_equal(m.row(a), dense[i])
+            for j, b in enumerate(m.index):
+                assert m.entry(a, b) == dense[i, j]
+        # the dense constructor keeps every entry, the -0.0 diagonals too
+        assert PartitionMatrix(m.index, dense).values.tobytes() == dense.tobytes()
+
+
+def test_generator_stores_every_diagonal_and_no_zero(model3):
+    q = build_generator(model3, shared_index(model3.ground))
+    diagonal = q.rows == q.cols
+    assert q.rows[diagonal].tolist() == list(range(len(q.index)))
+    assert np.all(np.diff(q.rows) >= 0)
+    assert np.all(q.data[~diagonal] > 0.0)
+    assert str(q.data[-1]) == "-0.0"  # the finest partition never splits
+
+
+def test_transition_semigroup_rows_are_the_started_coefficients(monkeypatch):
+    d = general_model(5, 5)
+    q = build_generator(d, shared_index(d.ground))
+    whole = transition_semigroup(q, 2.0).values
+    monkeypatch.setattr(ancestral, "_BLOCK_ENTRIES", 3 * len(q.data))
+    blocked = transition_semigroup(q, 2.0).values
+    assert blocked.tobytes() == whole.tobytes()
+    for i, a in enumerate(q.index):
+        assert np.array_equal(whole[i], coefficients_semigroup(q, 2.0, start=a).values)
+
+
+def test_discrete_coefficients_match_dense_powers():
+    d = general_model(5, 5)
+    m = build_discrete_matrix(d, shared_index(d.ground))
+    v = np.zeros(len(m.index))
+    v[0] = 1.0
+    dense = m.values
+    for t in range(6):
+        got = coefficients_discrete(m, t).values
+        assert np.max(np.abs(got - v)) <= 1e-15
+        v = v @ dense
+
+
+def test_exact_routes_share_one_index_per_ground_set(monkeypatch, tmp_path):
+    d = RecombinationDistribution.single_crossover([0.3, 0.9, 0.5])
+    index = shared_index(d.ground)
+    assert shared_index(reversed(d.ground)) is index
+    assert compute_psi_theta(d).index is index
+    for method in dynamics.EXACT_METHODS:
+        for coeffs in dynamics.exact_coefficients(d, [0.5, 2.0], method):
+            assert coeffs.index is index
+    builds = []
+    init = PartitionIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PartitionIndex, "__init__", counting)
+    partitions._shared_index.cache_clear()
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({
+        "recombination": d.to_config(),
+        "run": {"t_grid": [0.1, 1.0, 10.0]},
+    }))
+    assert cli.main(["crosscheck", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert builds == [d.ground]

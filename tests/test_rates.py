@@ -100,6 +100,25 @@ def test_from_rates_implies_mu():
         RecombinationDistribution.from_rates((1, 2), {P("1|2"): 0.0})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_model_values_refused(bad):
+    with pytest.raises(DomainError, match="mu must be positive and finite"):
+        RecombinationDistribution.from_probabilities((1, 2), bad, {P("1|2"): 0.5})
+    with pytest.raises(DomainError, match="nonnegative and finite"):
+        RecombinationDistribution.from_probabilities((1, 2), 1.0, {P("1|2"): bad})
+    with pytest.raises(DomainError, match="nonnegative and finite"):
+        RecombinationDistribution.from_rates((1, 2, 3), {P("1|2,3"): bad, P("1,2|3"): 0.5})
+    with pytest.raises(DomainError, match="residual rate"):
+        RecombinationDistribution.from_rates((1, 2), {P("1|2"): 1.0}, residual_rate=bad)
+    with pytest.raises(DomainError, match="nonnegative and finite"):
+        RecombinationDistribution.single_crossover([0.3, bad])
+
+
+def test_rates_summing_past_the_float_range_refused():
+    with pytest.raises(DomainError, match="mu must be positive and finite"):
+        RecombinationDistribution.single_crossover([1e308, 1e308])
+
+
 def test_single_crossover_constructor():
     d = RecombinationDistribution.single_crossover([0.3, 0.7, 1.1])
     assert d.ground == (1, 2, 3, 4)
@@ -294,6 +313,33 @@ def test_config_error_paths(cfg, fragment):
     with pytest.raises(ConfigError) as err:
         RecombinationDistribution.from_config(cfg)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.3", float("nan"), float("inf"), True, 10**400],
+    ids=["string", "nan", "inf", "bool", "huge-int"],
+)
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        (lambda v: {"n": 2, "style": "probability", "mu": 1.0,
+                    "entries": [{"partition": "1|2", "value": v}]},
+         r"recombination.entries\[0\].value"),
+        (lambda v: {"n": 2, "style": "probability", "mu": v,
+                    "entries": [{"partition": "1|2", "value": 0.3}]},
+         "recombination.mu"),
+        (lambda v: {"n": 2, "style": "rate", "residual_rate": v,
+                    "entries": [{"partition": "1|2", "value": 0.3}]},
+         "recombination.residual_rate"),
+        (lambda v: {"n": 2, "style": "rate",
+                    "entries": [{"partition": "1|2", "value": v}]},
+         r"recombination.entries\[0\].value"),
+    ],
+    ids=["probability-value", "mu", "residual_rate", "rate-value"],
+)
+def test_config_numbers_are_finite_json_reals(cfg, path, bad):
+    with pytest.raises(ConfigError, match=f"{path}: (expected a real number|must be finite)"):
+        RecombinationDistribution.from_config(cfg(bad))
 
 
 def test_config_error_is_value_error():
