@@ -9,23 +9,42 @@ in any chunk of a batch, under any worker count.  Waiting times use
 so on a given platform every kernel output is bitwise pinned; the test
 suite checks fixed batches against stored digests.
 
-The partition sampler runs in lane form: one replicate per numpy lane,
-the splitmix64 step applied to a vector of stream states.  It stays
-bitwise equal to a replicate-at-a-time walk (kept in the tests as the
-reference) because the lanes draw the same integers and uniforms, every
-running rate total is a sequential ``np.cumsum`` in the walk's order (a
-0.0 for an absent term is exact), and each waiting time takes
-``math.log`` of its own element.  The Moran, ARG and reconstruction
-kernels walk one replicate at a time.
+The kernels walk their replicates in one of three ways:
+
+* The partition sampler runs in lane form: one replicate per numpy lane,
+  the splitmix64 step applied to a vector of stream states.  Many short
+  replicates fill the lanes.  It stays bitwise equal to a
+  replicate-at-a-time walk (kept in the tests as the reference) because
+  the lanes draw the same integers and uniforms, every running rate total
+  is a sequential ``np.cumsum`` in the walk's order (a 0.0 for an absent
+  term is exact), and each waiting time takes ``math.log`` of its own
+  element.
+* The Moran kernels walk one replicate at a time over a bulk-drawn
+  stream.  Their runs are few and long (thousands of events each), so
+  lanes would stay nearly empty; but the k-th uniform of a stream is
+  mix(s0 + k * golden), a function of the counter alone, so
+  `_block_uniforms` computes a block of it in one numpy call and the
+  walk reads the block from a Python list, over Python ints.  They stay
+  bitwise equal to the draw-at-a-time walk (kept in the tests as the
+  reference) because they read the same uniforms in the same order and
+  compute the same numbers from them: ``int(u * N)`` with the N - 1
+  clamp, the first running count total above it (``bisect_right``),
+  event probabilities summed left to right, offspring types from integer
+  digit tables, ``math.log`` waiting times, and the multinomial start as
+  the first running weight above each uniform (``np.searchsorted``).
+* The ARG and reconstruction kernels walk one replicate at a time and
+  draw each uniform with `_u`.
 
 All simulation state lives in caller-provided or locally allocated numpy
-arrays; nothing here touches the domain classes.
+arrays and Python lists; nothing here touches the domain classes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -111,26 +130,32 @@ def _f64(a) -> np.ndarray:
     return np.ascontiguousarray(a, np.float64)
 
 
+def _block_u64(s0, k0: int, count: int) -> np.ndarray:
+    """Raw outputs k0+1 ... k0+count of the stream at state s0.
+
+    The k-th output is mix(s0 + k * golden), so a block needs no
+    sequential state: the counter form of `_next_u64`.
+    """
+    k = np.arange(k0 + 1, k0 + count + 1, dtype=np.uint64)
+    return _mix(s0 + k * _SM_GOLDEN)
+
+
+def _block_uniforms(s0, k0: int, count: int) -> np.ndarray:
+    """Uniforms k0+1 ... k0+count of the stream at state s0 (those `_u`
+    would draw there)."""
+    return (_block_u64(s0, k0, count) >> _SH11).astype(np.float64) * _INV53
+
+
 @_entry
 def splitmix_raw(seed, count: int) -> np.ndarray:
     """Raw 64-bit outputs of one stream (reference-vector tests)."""
-    st = np.zeros(1, np.uint64)
-    st[0] = _seed_u64(seed)
-    out = np.empty(count, np.uint64)
-    for i in range(count):
-        out[i] = _next_u64(st)
-    return out
+    return _block_u64(_seed_u64(seed), 0, int(count))
 
 
 @_entry
 def stream_uniforms(seed, replicate: int, count: int) -> np.ndarray:
     """The uniforms replicate `replicate` of a batch would draw first."""
-    st = np.zeros(1, np.uint64)
-    st[0] = _stream_state(_seed_u64(seed), replicate)
-    out = np.empty(count)
-    for i in range(count):
-        out[i] = _u(st)
-    return out
+    return _block_uniforms(_stream_state(_seed_u64(seed), replicate), 0, int(count))
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +241,35 @@ def _split_rates(ent_mask1, ent_rate, masks):
     return _running_rates(_separates(masks, ent_mask1), ent_rate)[:, -1]
 
 
+class _SplitRateTable:
+    """Split rates of the site masks met so far, sorted by mask.
+
+    A mask's rate is computed by `_split_rates`, on its own row, the first
+    time a lane meets it, and looked up afterwards: a walk meets few
+    distinct fragments, however many lanes and events it has.
+    """
+
+    def __init__(self, ent_mask1, ent_rate):
+        self.events = ent_mask1, ent_rate
+        self.masks = np.empty(0, np.int64)
+        self.rates = np.empty(0)
+
+    def __call__(self, masks):
+        at = np.searchsorted(self.masks, masks)
+        known = at < self.masks.shape[0]
+        known[known] = self.masks[at[known]] == masks[known]
+        if not known.all():
+            # sort and drop repeats by hand: a plain np.unique calls
+            # np.ma.is_masked, whose first use imports numpy.ma (about 20 ms)
+            new = np.sort(masks[~known])
+            new = new[np.append(True, new[1:] != new[:-1])]
+            order = np.argsort(np.concatenate([self.masks, new]))
+            self.masks = np.concatenate([self.masks, new])[order]
+            self.rates = np.concatenate([self.rates, _split_rates(*self.events, new)])[order]
+            at = np.searchsorted(self.masks, masks)
+        return self.rates[at]
+
+
 def _refine_lanes(ent_mask1, ent_rate, n_sites, t_end, st, start, history=None):
     """Run the refinement chain in every lane from the blocks `start`.
 
@@ -233,8 +287,9 @@ def _refine_lanes(ent_mask1, ent_rate, n_sites, t_end, st, start, history=None):
     n_lanes, n_start = st.shape[0], start.shape[0]
     blocks = np.zeros((n_lanes, n_sites), np.int64)
     blocks[:, :n_start] = start
+    split_rate = _SplitRateTable(ent_mask1, ent_rate)
     psi = np.zeros((n_lanes, n_sites))
-    psi[:, :n_start] = _split_rates(ent_mask1, ent_rate, start)
+    psi[:, :n_start] = split_rate(start)
     nb = np.full(n_lanes, n_start)
     t = np.zeros(n_lanes)
     live = np.arange(n_lanes)
@@ -264,9 +319,9 @@ def _refine_lanes(ent_mask1, ent_rate, n_sites, t_end, st, start, history=None):
         p1, p2 = U & ent_mask1[ev], U & ~ent_mask1[ev]
         k = nb[live]
         blocks[live, bi] = p1
-        psi[live, bi] = _split_rates(ent_mask1, ent_rate, p1)
+        psi[live, bi] = split_rate(p1)
         blocks[live, k] = p2
-        psi[live, k] = _split_rates(ent_mask1, ent_rate, p2)
+        psi[live, k] = split_rate(p2)
         nb[live] = k + 1
         if history is not None:
             history.extend((t[j], blocks[j, : nb[j]].copy()) for j in live)
@@ -348,76 +403,135 @@ def partition_history(ent_mask1, ent_rate, n_sites, start_blocks, t_end, seed, r
 
 
 # --------------------------------------------------------------------------
-# forward Moran model
+# forward Moran model: one replicate at a time on a bulk-drawn stream
 # --------------------------------------------------------------------------
 
+# Uniforms per numpy block of a Moran replicate's stream.
+_BLOCK = 4096
 
-def _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st):
-    """Draw one replacement event; returns (dying type, offspring type).
+# Most uniforms one Moran event reads: its waiting time, the dying
+# individual, the recombination event and two parents.
+_EVENT_DRAWS = 5
 
-    Parents are drawn with replacement from the pre-event counts, so the
-    dying individual itself can be a parent.  Does not modify counts.
+# Largest (events x types) digit table stored as lists; past it each
+# digit sum is computed when it is looked up.
+_TABLE_CAP = 1 << 18
+
+
+class _Stream:
+    """One stream read in order from a Python list filled a numpy block at
+    a time: ``buf[pos:]`` are drawn uniforms not read yet, and `k` counts
+    the uniforms drawn, so the next block starts at uniform k + 1."""
+
+    __slots__ = ("s0", "k", "buf", "pos")
+
+    def __init__(self, s0, k=0):
+        self.s0, self.k, self.buf, self.pos = s0, k, [], 0
+
+    def refill(self):
+        """Append a block to the unread tail; returns the new buffer, whose
+        first entry is the next uniform."""
+        self.buf = self.buf[self.pos :] + _block_uniforms(self.s0, self.k, _BLOCK).tolist()
+        self.k += _BLOCK
+        self.pos = 0
+        return self.buf
+
+
+class _DigitSum:
+    """A digit-table row computed on lookup: type p -> the sum of its
+    digit * place over the flagged sites."""
+
+    __slots__ = ("sites",)
+
+    def __init__(self, places, sizes, flags):
+        self.sites = [(p, s) for p, s, f in zip(places, sizes, flags) if f]
+
+    def __getitem__(self, p):
+        return sum(p // place % size * place for place, size in self.sites)
+
+
+def _event_tables(places, sizes, ent_mask1, ent_prob, n_types):
+    """Running event probabilities and the per-event digit tables.
+
+    A recombination along event e gives parent a's letters on the sites
+    of ent_mask1[e] and parent b's on the others, so the offspring type is
+    ``tables[e][0][a] + tables[e][1][b]``: the digit sums (digit * place)
+    of a over the first sites and of b over the rest, exact integers.
     """
-    y = _draw_weighted(counts, N, st)
-    u = _u(st)
-    acc = 0.0
-    mask1 = np.int64(0)
-    recombining = False
-    for e in range(ent_prob.shape[0]):
-        acc += ent_prob[e]
-        if u < acc:
-            mask1 = ent_mask1[e]
-            recombining = True
-            break
-    if not recombining:
-        x = _draw_weighted(counts, N, st)
-        return y, x
-    pa = _draw_weighted(counts, N, st)
-    pb = _draw_weighted(counts, N, st)
-    x = 0
-    for s in range(places.shape[0]):
-        if (mask1 >> s) & 1:
-            d = (pa // places[s]) % sizes[s]
-        else:
-            d = (pb // places[s]) % sizes[s]
-        x += d * places[s]
-    return y, x
+    places, sizes, ent_mask1 = _i64(places), _i64(sizes), _i64(ent_mask1)
+    # left-to-right sums, the floats of a sequential scan over the events
+    cum_prob = list(itertools.accumulate(_f64(ent_prob).tolist()))
+    on = (ent_mask1[:, None] >> np.arange(places.shape[0])) & 1
+    if on.shape[0] * n_types <= _TABLE_CAP:
+        digits = (np.arange(n_types)[:, None] // places % sizes * places).T
+        tables = list(zip((on @ digits).tolist(), ((1 - on) @ digits).tolist()))
+    else:
+        pl, sz = places.tolist(), sizes.tolist()
+        tables = [
+            (_DigitSum(pl, sz, row), _DigitSum(pl, sz, [1 - f for f in row]))
+            for row in on.tolist()
+        ]
+    return cum_prob, tables
 
 
-def _moran_run(counts, places, sizes, ent_mask1, ent_prob, mu, duration, st):
-    """Advance the population over a time window; counts updated in place."""
-    N = 0
-    for i in range(counts.shape[0]):
-        N += counts[i]
-    if N <= 0 or duration <= 0.0:
-        return 0
+def _moran_event(buf, i, cum, N, cum_prob, tables):
+    """One replacement event read from ``buf[i:]``.
+
+    In order: the dying individual, the recombination event (none past
+    the last running probability), then one parent, or two for a
+    recombination.  Individuals are drawn with replacement from the
+    pre-event counts, whose running totals are `cum` (so the dying one
+    can be a parent): individual ``min(int(u * N), N - 1)`` has the type
+    of the first running total above it.  Returns (dying type, offspring
+    type, index of the next unread uniform).
+    """
+    r = int(buf[i] * N)
+    y = bisect_right(cum, r if r < N else N - 1)
+    e = bisect_right(cum_prob, buf[i + 1])
+    r = int(buf[i + 2] * N)
+    pa = bisect_right(cum, r if r < N else N - 1)
+    if e == len(cum_prob):
+        return y, pa, i + 3
+    r = int(buf[i + 3] * N)
+    pb = bisect_right(cum, r if r < N else N - 1)
+    first, second = tables[e]
+    return y, first[pa] + second[pb], i + 4
+
+
+def _moran_walk(counts, mu, duration, src, cum_prob, tables):
+    """Advance `counts` (a list of ints) over a window of length `duration`.
+
+    Every event starts with its waiting time; the draw that overshoots the
+    window is consumed.  A window without positive total rate N * mu
+    leaves the counts and the stream as they are.
+    """
+    N = sum(counts)
     rate = N * mu
-    t = 0.0
-    n_events = 0
+    if N <= 0 or duration <= 0.0 or not rate > 0.0:
+        return
+    cum = list(itertools.accumulate(counts))
+    buf, i, t = src.buf, src.pos, 0.0
     while True:
-        t += -math.log(1.0 - _u(st)) / rate
+        if i > len(buf) - _EVENT_DRAWS:
+            src.pos = i
+            buf, i = src.refill(), 0
+        t += -math.log(1.0 - buf[i]) / rate
         if t > duration:
-            break
-        y, x = _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st)
-        counts[y] -= 1
-        counts[x] += 1
-        n_events += 1
-    return n_events
+            src.pos = i + 1
+            return
+        y, x, i = _moran_event(buf, i + 1, cum, N, cum_prob, tables)
+        if x != y:
+            counts[y] -= 1
+            counts[x] += 1
+            cum = list(itertools.accumulate(counts))
 
 
-def _fill_multinomial(counts, w_cum, N, st):
-    """N iid draws from the cumulative weights (conditionally multinomial)."""
-    K = counts.shape[0]
-    for i in range(K):
-        counts[i] = 0
-    for _ in range(N):
-        u = _u(st)
-        idx = K - 1
-        for j in range(K - 1):
-            if u < w_cum[j]:
-                idx = j
-                break
-        counts[idx] += 1
+def _multinomial(w_cut, N, n_types, s0):
+    """Counts of N iid types drawn from the first N uniforms of the stream
+    at s0: type j for the first running weight w_cut[j] above the
+    uniform, the last type past all of them."""
+    idx = np.searchsorted(w_cut, _block_uniforms(s0, 0, N), side="right")
+    return np.bincount(idx, minlength=n_types).tolist()
 
 
 @_entry
@@ -432,32 +546,24 @@ def moran_batch(
     init_counts; otherwise all replicates start from init_counts exactly.
     Returns an (n_reps, n_times, n_types) int64 array.
     """
-    init_counts = _i64(init_counts)
-    places, sizes = _i64(places), _i64(sizes)
-    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
+    init = _i64(init_counts).tolist()
+    n_types, N = len(init), sum(init)
     mu, seed, rep_lo = float(mu), _seed_u64(seed), int(rep_lo)
-    t_grid = _f64(t_grid)
-    K = init_counts.shape[0]
+    t_grid = _f64(t_grid).tolist()
+    cum_prob, tables = _event_tables(places, sizes, ent_mask1, ent_prob, n_types)
     if multinomial_from is not None:
-        w_cum = np.cumsum(_f64(multinomial_from))
-    out = np.empty((n_reps, t_grid.shape[0], K), np.int64)
-    counts = np.zeros(K, np.int64)
-    st = np.zeros(1, np.uint64)
-    N = 0
-    for i in range(K):
-        N += init_counts[i]
+        w_cut = np.cumsum(_f64(multinomial_from))[: n_types - 1]
+    out = np.empty((n_reps, len(t_grid), n_types), np.int64)
     for rr in range(n_reps):
-        st[0] = _stream_state(seed, rep_lo + rr)
-        if multinomial_from is not None:
-            _fill_multinomial(counts, w_cum, N, st)
+        s0 = _stream_state(seed, rep_lo + rr)
+        if multinomial_from is None:
+            counts, src = init.copy(), _Stream(s0)
         else:
-            counts[:] = init_counts
+            counts, src = _multinomial(w_cut, N, n_types, s0), _Stream(s0, N)
         prev = 0.0
-        for ti in range(t_grid.shape[0]):
-            _moran_run(
-                counts, places, sizes, ent_mask1, ent_prob, mu, t_grid[ti] - prev, st
-            )
-            prev = t_grid[ti]
+        for ti, t in enumerate(t_grid):
+            _moran_walk(counts, mu, t - prev, src, cum_prob, tables)
+            prev = t
             out[rr, ti] = counts
     return out
 
@@ -473,22 +579,19 @@ def moran_tv_batch(
     distance of its empirical type frequencies to `target`.
     """
     w_cum = np.cumsum(_f64(w0))
-    target = _f64(target)
-    places, sizes = _i64(places), _i64(sizes)
-    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
+    n_types = w_cum.shape[0]
+    target = _f64(target).tolist()
     N, mu, t_end = int(N), float(mu), float(t_end)
     seed, rep_lo = _seed_u64(seed), int(rep_lo)
-    K = w_cum.shape[0]
+    cum_prob, tables = _event_tables(places, sizes, ent_mask1, ent_prob, n_types)
     out = np.empty(n_reps)
-    counts = np.zeros(K, np.int64)
-    st = np.zeros(1, np.uint64)
     for rr in range(n_reps):
-        st[0] = _stream_state(seed, rep_lo + rr)
-        _fill_multinomial(counts, w_cum, N, st)
-        _moran_run(counts, places, sizes, ent_mask1, ent_prob, mu, t_end, st)
+        s0 = _stream_state(seed, rep_lo + rr)
+        counts = _multinomial(w_cum[: n_types - 1], N, n_types, s0)
+        _moran_walk(counts, mu, t_end, _Stream(s0, N), cum_prob, tables)
         acc = 0.0
-        for i in range(K):
-            acc += abs(counts[i] / N - target[i])
+        for c, w in zip(counts, target):
+            acc += abs(c / N - w)
         out[rr] = 0.5 * acc
     return out
 
@@ -500,20 +603,19 @@ def moran_event_pairs(counts0, places, sizes, ent_mask1, ent_prob, seed, n_event
     The population is reset to counts0 before every event, so the table
     estimates the per-event transition law out of that fixed state.
     """
-    counts0 = _i64(counts0)
-    places, sizes = _i64(places), _i64(sizes)
-    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
-    K = counts0.shape[0]
-    out = np.zeros((K, K), np.int64)
-    N = 0
-    for i in range(K):
-        N += counts0[i]
-    st = np.zeros(1, np.uint64)
-    st[0] = _seed_u64(seed)
+    cum = list(itertools.accumulate(_i64(counts0).tolist()))
+    n_types = len(cum)
+    cum_prob, tables = _event_tables(places, sizes, ent_mask1, ent_prob, n_types)
+    src = _Stream(_seed_u64(seed))
+    pairs = [0] * (n_types * n_types)
+    buf, i = src.buf, 0
     for _ in range(int(n_events)):
-        y, x = _moran_event(counts0, N, places, sizes, ent_mask1, ent_prob, st)
-        out[y, x] += 1
-    return out
+        if i > len(buf) - _EVENT_DRAWS:
+            src.pos = i
+            buf, i = src.refill(), 0
+        y, x, i = _moran_event(buf, i, cum, cum[-1], cum_prob, tables)
+        pairs[y * n_types + x] += 1
+    return np.array(pairs, np.int64).reshape(n_types, n_types)
 
 
 # --------------------------------------------------------------------------

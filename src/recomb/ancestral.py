@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NonGenericRatesError
+from .errors import DomainError, NonGenericRatesError, check_time
 from .partitions import (
     Partition,
     PartitionIndex,
@@ -256,11 +256,6 @@ def _expm_action(q: PartitionMatrix, v: np.ndarray, t: float) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def _check_time(t: float) -> None:
-    if not 0 <= t < math.inf:
-        raise DomainError(f"time must be finite and nonnegative, got {t}")
-
-
 def transition_semigroup(q: PartitionMatrix, t: float) -> PartitionMatrix:
     """The stochastic matrix e^{tQ} on the partition lattice.
 
@@ -268,7 +263,7 @@ def transition_semigroup(q: PartitionMatrix, t: float) -> PartitionMatrix:
     in blocks, and each block's result is stored as it comes; no size x size
     array is formed.
     """
-    _check_time(t)
+    check_time(t)
     size = len(q.index)
     step = max(1, _BLOCK_ENTRIES // len(q.data))
     entries = []
@@ -287,7 +282,7 @@ def coefficients_semigroup(
     Computed as a vector iteration, one sparse step per Poisson term
     (work proportional to Q's stored entries); never forms the exponential.
     """
-    _check_time(t)
+    check_time(t)
     index = q.index
     v = np.zeros(len(index))
     v[index.index_of(index.one if start is None else start)] = 1.0
@@ -409,7 +404,7 @@ def compute_psi_theta(d: RecombinationDistribution) -> PsiTheta:
 
 def coefficients_recursion(pt: PsiTheta, t: float) -> CoefficientVector:
     """a_t as the exponential mixture sum_{b >= a} theta(a,b) e^{-psi(b) t}."""
-    _check_time(t)
+    check_time(t)
     index = pt.index
     out = np.zeros(len(index))
     decay: dict[tuple[int, ...], float] = {}
@@ -434,7 +429,7 @@ def coefficients_single_crossover(
     product of (1 - e^{-t rho_k}) over cuts in G and e^{-t rho_l} over
     the remaining cuts; every non-interval partition has weight zero.
     """
-    _check_time(t)
+    check_time(t)
     if not d.is_single_crossover():
         raise DomainError(
             "not a single-crossover model: support contains a non-interval split"

@@ -16,7 +16,6 @@ partition equals restarting the coefficient process from that partition.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from .ancestral import (
     coefficients_single_crossover,
     compute_psi_theta,
 )
-from .errors import DomainError, MassDriftError, SizeCapError
+from .errors import DomainError, MassDriftError, SizeCapError, check_time
 from .measure import TypeDistribution, TypeSpace
 from .partitions import Partition, shared_index
 from .rates import RecombinationDistribution
@@ -233,8 +232,7 @@ def exact_coefficients(
     if method not in EXACT_METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {EXACT_METHODS}")
     for t in times:
-        if not 0 <= t < math.inf:
-            raise DomainError(f"time must be finite and nonnegative, got {t}")
+        check_time(t)
     if method == "semigroup":
         q = build_generator(d, shared_index(d.ground))
         return [coefficients_semigroup(q, t) for t in times]

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and the config-number rule.
+"""Exception hierarchy shared by all modules, the config-number rule and
+the time rule.
 
 The CLI maps these onto stable exit codes: configuration problems exit 2,
 numerical preconditions exit 3, cross-validation tolerance breaches exit 4.
@@ -57,3 +58,13 @@ def config_real(value, path: str) -> float:
     if not math.isfinite(real):
         raise ConfigError(f"{path}: must be finite, got {real}")
     return real
+
+
+def check_time(t: float) -> None:
+    """Refuse a time that is negative, NaN or infinite with a DomainError.
+
+    Written so that NaN fails: ``t < 0`` is false for NaN, and a sampler
+    given a NaN or infinite end time never stops.
+    """
+    if not 0 <= t < math.inf:
+        raise DomainError(f"time must be finite and nonnegative, got {t}")

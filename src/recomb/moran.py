@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, SizeCapError, check_time
 from .measure import TypeDistribution, TypeSpace
 from .partitions import Partition, count_label_rows
 from .rates import RecombinationDistribution
@@ -132,8 +132,7 @@ def simulate_moran(
     d: RecombinationDistribution, z0: PopulationState, t_end: float, seed: int
 ) -> PopulationState:
     """One forward run; population size is conserved by construction."""
-    if t_end < 0:
-        raise DomainError(f"time must be nonnegative, got {t_end}")
+    check_time(t_end)
     masks, probs, places, sizes = _model_arrays(d, z0.space)
     out = _kernels.moran_batch(
         z0.counts, places, sizes, masks, probs, d.mu, [t_end], seed, 1
@@ -156,8 +155,10 @@ def simulate_moran_grid(
     (size N of z0); otherwise all replicates start exactly at z0.
     """
     times = [float(t) for t in t_grid]
-    if not times or any(b <= a for a, b in zip(times, times[1:])) or times[0] < 0:
-        raise DomainError("time grid must be nonnegative and strictly increasing")
+    for t in times:
+        check_time(t)
+    if not times or any(b <= a for a, b in zip(times, times[1:])):
+        raise DomainError("time grid must be nonempty and strictly increasing")
     if replicates < 1:
         raise DomainError("need at least one replicate")
     masks, probs, places, sizes = _model_arrays(d, z0.space)
@@ -239,8 +240,7 @@ def lln_report(
         raise DomainError("population sizes must be positive")
     if replicates < 1:
         raise DomainError("need at least one replicate")
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    check_time(t)
     _require_prob(w0)
     target = solve_exact(d, w0, t, method="semigroup").to_array()
     masks, probs, places, sizes = _model_arrays(d, w0.space)
@@ -334,8 +334,7 @@ def simulate_arg(
     """One backward run from a single individual carrying every site."""
     if N < 1:
         raise DomainError(f"population size must be >= 1, got {N}")
-    if t_end < 0:
-        raise DomainError(f"time must be nonnegative, got {t_end}")
+    check_time(t_end)
     masks, probs = d.event_arrays()
     frag_mask, frag_owner, m = _kernels.arg_state(
         masks, probs, d.mu, d.n_sites, N, t_end, seed, replicate
@@ -362,8 +361,7 @@ def arg_replicates(
     """Batch of backward runs: per-replicate site labels and ancestor counts."""
     if N < 1 or n_replicates < 1:
         raise DomainError("population size and replicate count must be >= 1")
-    if t_end < 0:
-        raise DomainError(f"time must be nonnegative, got {t_end}")
+    check_time(t_end)
     masks, probs = d.event_arrays()
     return _kernels.arg_batch(masks, probs, d.mu, d.n_sites, N, t_end, seed, n_replicates)
 
@@ -394,8 +392,7 @@ def reconstruct_replicates(
     d: RecombinationDistribution, z0: PopulationState, t: float, seed: int, n_replicates: int
 ) -> np.ndarray:
     """Flat type indices of n_replicates independent reconstructions."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    check_time(t)
     if n_replicates < 1:
         raise DomainError("need at least one replicate")
     masks, probs, places, sizes = _model_arrays(d, z0.space)

@@ -3,8 +3,9 @@
 The raw generator is pinned to an independently computed reference
 (pure-Python 64-bit mix, written down before the package existed),
 every public kernel's output on a fixed batch is pinned by digest, and
-the lane-form partition sampler is checked bitwise against the
-replicate-at-a-time walk it replaced, kept here as the reference.
+the lane-form partition sampler and the bulk-stream Moran kernels are
+checked bitwise against the draw-at-a-time scalar walks they replaced,
+kept here as the references.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from recomb import (
     Partition,
     PopulationState,
     RecombinationDistribution,
+    TypeSpace,
     splitmix_raw,
     stream_uniforms,
     two_block_partitions,
@@ -313,6 +315,170 @@ def test_partition_batch_uses_all_64_mask_bits():
 def test_partition_batch_refuses_more_sites_than_mask_bits():
     with pytest.raises(DomainError):
         K.partition_batch(np.array([1], np.int64), np.array([1.0]), 65, [1], 1.0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Moran kernels against the draw-at-a-time scalar walk
+# ---------------------------------------------------------------------------
+
+
+def _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st):
+    """Draw one replacement event; returns (dying type, offspring type).
+
+    Parents are drawn with replacement from the pre-event counts, so the
+    dying individual itself can be a parent.  Does not modify counts.
+    """
+    y = K._draw_weighted(counts, N, st)
+    u = K._u(st)
+    acc = 0.0
+    mask1 = np.int64(0)
+    recombining = False
+    for e in range(ent_prob.shape[0]):
+        acc += ent_prob[e]
+        if u < acc:
+            mask1 = ent_mask1[e]
+            recombining = True
+            break
+    if not recombining:
+        x = K._draw_weighted(counts, N, st)
+        return y, x
+    pa = K._draw_weighted(counts, N, st)
+    pb = K._draw_weighted(counts, N, st)
+    x = 0
+    for s in range(places.shape[0]):
+        if (mask1 >> s) & 1:
+            d = (pa // places[s]) % sizes[s]
+        else:
+            d = (pb // places[s]) % sizes[s]
+        x += d * places[s]
+    return y, x
+
+
+def _moran_run(counts, places, sizes, ent_mask1, ent_prob, mu, duration, st):
+    """Advance the population over a time window; counts updated in place."""
+    N = 0
+    for i in range(counts.shape[0]):
+        N += counts[i]
+    if N <= 0 or duration <= 0.0:
+        return
+    rate = N * mu
+    t = 0.0
+    while True:
+        t += -math.log(1.0 - K._u(st)) / rate
+        if t > duration:
+            break
+        y, x = _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st)
+        counts[y] -= 1
+        counts[x] += 1
+
+
+def _fill_multinomial(counts, w_cum, N, st):
+    """N iid draws from the cumulative weights (conditionally multinomial)."""
+    K_ = counts.shape[0]
+    counts[:] = 0
+    for _ in range(N):
+        u = K._u(st)
+        idx = K_ - 1
+        for j in range(K_ - 1):
+            if u < w_cum[j]:
+                idx = j
+                break
+        counts[idx] += 1
+
+
+@np.errstate(over="ignore")  # the generator wraps modulo 2**64
+def _moran_reference(case, mu, grid, seed, rep, w=None):
+    """Replicate `rep` of moran_batch, one draw at a time."""
+    counts, places, sizes, masks, probs = case
+    counts = counts.copy()
+    st = np.array([K._stream_state(K._seed_u64(seed), rep)])
+    if w is not None:
+        _fill_multinomial(counts, np.cumsum(w), int(counts.sum()), st)
+    out, prev = [], 0.0
+    for t in grid:
+        _moran_run(counts, places, sizes, masks, probs, mu, t - prev, st)
+        prev = t
+        out.append(counts.copy())
+    return np.array(out)
+
+
+@np.errstate(over="ignore")
+def _tv_reference(case, w, target, N, mu, t_end, seed, rep):
+    """Replicate `rep` of moran_tv_batch, one draw at a time."""
+    _, places, sizes, masks, probs = case
+    counts = np.zeros(len(w), np.int64)
+    st = np.array([K._stream_state(K._seed_u64(seed), rep)])
+    _fill_multinomial(counts, np.cumsum(w), N, st)
+    _moran_run(counts, places, sizes, masks, probs, mu, t_end, st)
+    acc = 0.0
+    for i in range(len(w)):
+        acc += abs(counts[i] / N - target[i])
+    return 0.5 * acc
+
+
+@np.errstate(over="ignore")
+def _pairs_reference(case, seed, n_events):
+    counts, places, sizes, masks, probs = case
+    out = np.zeros((len(counts), len(counts)), np.int64)
+    st = np.array([K._seed_u64(seed)])
+    for _ in range(n_events):
+        y, x = _moran_event(counts, int(counts.sum()), places, sizes, masks, probs, st)
+        out[y, x] += 1
+    return out
+
+
+# a site with three alleles makes the digit tables mixed-radix
+MORAN_MODELS = {
+    "three-site": (lambda: _general(3, 3), [2, 2, 2]),
+    "three-alleles": (lambda: _general(3, 33), [2, 3, 2]),
+    "crossover-4": (lambda: _crossover(4, 404), [2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("block", [K._BLOCK, 7], ids=["block", "short-blocks"])
+@pytest.mark.parametrize("stored_tables", [True, False], ids=["tables", "digit-sums"])
+@pytest.mark.parametrize("name", sorted(MORAN_MODELS))
+def test_moran_kernels_match_scalar_walk(name, stored_tables, block, monkeypatch):
+    if not stored_tables:  # offspring digit sums computed per lookup
+        monkeypatch.setattr(K, "_TABLE_CAP", 0)
+    # short blocks make every walk carry unread uniforms into the next block
+    monkeypatch.setattr(K, "_BLOCK", block)
+    d, alleles = MORAN_MODELS[name][0](), MORAN_MODELS[name][1]
+    space = TypeSpace(alleles)
+    n_types = space.cardinality
+    masks, probs = d.event_arrays()
+    rng = np.random.default_rng(len(name))
+    w = rng.dirichlet(np.ones(n_types))
+    w[1] = 0.0
+    w /= w.sum()
+    target = np.full(n_types, 1.0 / n_types)
+    grid = [0.0, 0.3, 1.0]
+    for N in (1, 40):
+        # type 0 has count 0
+        counts = np.bincount(rng.integers(1, n_types, N), minlength=n_types)
+        case = (counts, np.array(space.places), np.array(space.alphabet_sizes), masks, probs)
+        args = case + (d.mu, grid, 7)
+        full = K.moran_batch(*args, 5, rep_lo=3)
+        head, tail = K.moran_batch(*args, 2, rep_lo=3), K.moran_batch(*args, 3, rep_lo=5)
+        assert np.array_equal(full, np.concatenate([head, tail]))
+        redraw = K.moran_batch(*args, 4, rep_lo=1, multinomial_from=w)
+        tv = K.moran_tv_batch(w, target, N, *case[1:], d.mu, 0.8, 9, 4, rep_lo=2)
+        for r in range(5):
+            want = _moran_reference(case, d.mu, grid, 7, 3 + r)
+            assert np.array_equal(full[r], want), f"{name} N={N} replicate {3 + r}"
+        for r in range(4):
+            want = _moran_reference(case, d.mu, grid, 7, 1 + r, w)
+            assert np.array_equal(redraw[r], want), f"{name} N={N} replicate {1 + r}"
+            want = _tv_reference(case, w, target, N, d.mu, 0.8, 9, 2 + r)
+            assert tv[r] == want, f"{name} N={N} replicate {2 + r}"
+        pairs = K.moran_event_pairs(*case, 17, 300)
+        assert np.array_equal(pairs, _pairs_reference(case, 17, 300))
+        # mu = 0: no event ever happens (the scalar walk divides by zero)
+        still = K.moran_batch(*case, 0.0, grid, 7, 2)
+        assert np.array_equal(still, np.tile(counts, (2, len(grid), 1)))
+        with np.errstate(divide="ignore"):
+            want = _moran_reference(case, 0.0, grid, 7, 0)
+        assert np.array_equal(still[0], want)
 
 
 # ---------------------------------------------------------------------------

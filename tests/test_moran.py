@@ -2,6 +2,8 @@
 single-event law, the law-of-large-numbers report, and the backward
 ancestry process with founder reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from recomb import (
     arg_replicates,
     lln_report,
     moran_event_counts,
+    partition_frequencies,
     reconstruct_replicates,
     simulate_arg,
     simulate_moran,
@@ -130,6 +133,39 @@ def test_moran_grid_validation(model3, w0_3, space2, w0_2):
     z2 = PopulationState(space2, {(0, 0): 4})
     with pytest.raises(DomainError):
         simulate_moran_grid(model3, z2, [1.0], seed=1)
+
+
+NON_FINITE_CALLS = {
+    "simulate_moran": lambda d, w, z, t: simulate_moran(d, z, t, seed=1),
+    "simulate_moran_grid": lambda d, w, z, t: simulate_moran_grid(d, z, [t], seed=1),
+    "simulate_moran_grid-last": lambda d, w, z, t: simulate_moran_grid(
+        d, z, [0.5, t], seed=1
+    ),
+    "lln_report": lambda d, w, z, t: lln_report(d, w, t, [10, 20], 2, seed=1),
+    "simulate_arg": lambda d, w, z, t: simulate_arg(d, 20, t, seed=1),
+    "arg_replicates": lambda d, w, z, t: arg_replicates(d, 20, t, 1, 2),
+    "ancestry_reconstruct": lambda d, w, z, t: ancestry_reconstruct(d, z, t, seed=1),
+    "reconstruct_replicates": lambda d, w, z, t: reconstruct_replicates(d, z, t, 1, 2),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_samplers_refuse_non_finite_times(model3, w0_3, name, t):
+    # `t < 0` and `b <= a` are false for NaN, and a window of infinite
+    # length never ends: these calls must be refused, not run forever
+    z0 = PopulationState.from_distribution(w0_3, 20)
+    with pytest.raises(DomainError, match="finite"):
+        NON_FINITE_CALLS[name](model3, w0_3, z0, t)
+
+
+def test_partition_sampler_runs_to_singletons_at_infinite_time(model3):
+    # unlike the samplers above, the refinement chain stops by itself: at
+    # t = inf every replicate ends in singletons
+    singletons = Partition.from_text("1|2|3")
+    assert partition_frequencies(model3, math.inf, 50, seed=3) == {singletons: 50}
+    with pytest.raises(DomainError):
+        partition_frequencies(model3, math.nan, 50, seed=3)
 
 
 def test_single_event_law_two_sites(space2):
