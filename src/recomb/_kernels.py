@@ -32,8 +32,19 @@ The kernels walk their replicates in one of three ways:
   event probabilities summed left to right, offspring types from integer
   digit tables, ``math.log`` waiting times, and the multinomial start as
   the first running weight above each uniform (``np.searchsorted``).
-* The ARG and reconstruction kernels walk one replicate at a time and
-  draw each uniform with `_u`.
+* The ARG and reconstruction kernels walk one replicate at a time over
+  the same kind of bulk-drawn stream, but their replicates are many and
+  short (a few dozen uniforms each): the first `_ARG_BLOCK` uniforms of
+  `_ARG_CHUNK` replicates come from one two-dimensional numpy call, and a
+  replicate that reads past them refills `_ARG_BLOCK` at a time.  They
+  stay bitwise equal to the draw-at-a-time walk (kept in the tests as the
+  reference) because they read the same uniforms in the same order and
+  keep the same lists of ancestral material and site fragments:
+  individuals and parent slots are ``int(u * n)`` with the n - 1 clamp,
+  the event is the first running probability above the draw
+  (``bisect_right``), a founder is the drawn one of the individuals not
+  yet taken, ordered by type (``bisect_right`` on the running counts),
+  and a present-day type is an integer sum of per-type digits.
 
 All simulation state lives in caller-provided or locally allocated numpy
 arrays and Python lists; nothing here touches the domain classes.
@@ -44,7 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 
 import numpy as np
 
@@ -85,27 +96,6 @@ def _mix(z):
     return z ^ (z >> _SH31)
 
 
-def _next_u64(st):
-    st[0] = st[0] + _SM_GOLDEN
-    z = st[0]
-    z = (z ^ (z >> _SH30)) * _SM_MIX1
-    z = (z ^ (z >> _SH27)) * _SM_MIX2
-    return z ^ (z >> _SH31)
-
-
-def _u(st):
-    """Uniform float64 in [0, 1) with 53 random bits."""
-    return float(_next_u64(st) >> _SH11) * _INV53
-
-
-def _ri(st, n):
-    """Uniform integer in [0, n)."""
-    i = int(_u(st) * n)
-    if i >= n:
-        i = n - 1
-    return i
-
-
 def _stream_state(seed, rep):
     """Initial state of replicate stream `rep`.
 
@@ -131,18 +121,19 @@ def _f64(a) -> np.ndarray:
 
 
 def _block_u64(s0, k0: int, count: int) -> np.ndarray:
-    """Raw outputs k0+1 ... k0+count of the stream at state s0.
+    """Raw outputs k0+1 ... k0+count of the stream at state s0 (a column
+    of states gives one row per stream).
 
     The k-th output is mix(s0 + k * golden), so a block needs no
-    sequential state: the counter form of `_next_u64`.
+    sequential state.
     """
     k = np.arange(k0 + 1, k0 + count + 1, dtype=np.uint64)
     return _mix(s0 + k * _SM_GOLDEN)
 
 
 def _block_uniforms(s0, k0: int, count: int) -> np.ndarray:
-    """Uniforms k0+1 ... k0+count of the stream at state s0 (those `_u`
-    would draw there)."""
+    """Uniforms k0+1 ... k0+count of the stream at state s0: the top 53
+    bits of each output, times 2**-53."""
     return (_block_u64(s0, k0, count) >> _SH11).astype(np.float64) * _INV53
 
 
@@ -159,45 +150,6 @@ def stream_uniforms(seed, replicate: int, count: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# shared small helpers
-# --------------------------------------------------------------------------
-
-
-def _draw_weighted(counts, total, st):
-    """Index drawn with probability counts[i]/total (integer weights)."""
-    u = _ri(st, total)
-    acc = 0
-    last = counts.shape[0] - 1
-    for idx in range(last):
-        acc += counts[idx]
-        if u < acc:
-            return idx
-    return last
-
-
-def _label_sites(masks, count, n_sites, out_row):
-    """Canonical block labels per site (first-occurrence order).
-
-    Returns the number of blocks; out_row[site] gets the label of the
-    block containing that site.
-    """
-    for s in range(n_sites):
-        out_row[s] = -1
-    nxt = 0
-    for s in range(n_sites):
-        if out_row[s] >= 0:
-            continue
-        for f in range(count):
-            if (masks[f] >> s) & 1:
-                for s2 in range(s, n_sites):
-                    if (masks[f] >> s2) & 1:
-                        out_row[s2] = nxt
-                nxt += 1
-                break
-    return nxt
-
-
-# --------------------------------------------------------------------------
 # limiting partitioning process (refinement chain on blocks), lane form
 # --------------------------------------------------------------------------
 
@@ -210,9 +162,17 @@ _LANES = 4096
 _MAX_SITES = 64
 
 
+def _site_count(n_sites, sampler):
+    """n_sites as an int, refused past the width of an int64 site mask."""
+    n_sites = int(n_sites)
+    if n_sites > _MAX_SITES:
+        raise DomainError(f"the {sampler} handles at most {_MAX_SITES} sites, got {n_sites}")
+    return n_sites
+
+
 def _lane_uniforms(st, live):
-    """Next uniform of each live lane's stream (same numbers as `_u`);
-    advances st[live]."""
+    """Next uniform of each live lane's stream (same numbers as
+    `_block_uniforms`); advances st[live]."""
     s = st[live] + _SM_GOLDEN
     st[live] = s
     return (_mix(s) >> _SH11).astype(np.float64) * _INV53
@@ -234,27 +194,25 @@ def _separates(masks, ent_mask1):
     return ((m & ent_mask1) != 0) & ((m & ~ent_mask1) != 0)
 
 
-def _split_rates(ent_mask1, ent_rate, masks):
-    """Total rate of the events separating each site mask into two parts."""
-    if ent_rate.shape[0] == 0:
-        return np.zeros(masks.shape[0])
-    return _running_rates(_separates(masks, ent_mask1), ent_rate)[:, -1]
-
-
 class _SplitRateTable:
-    """Split rates of the site masks met so far, sorted by mask.
+    """Running split rates of the site masks met so far, sorted by mask.
 
-    A mask's rate is computed by `_split_rates`, on its own row, the first
-    time a lane meets it, and looked up afterwards: a walk meets few
-    distinct fragments, however many lanes and events it has.
+    Row `running[i]` holds, in event order, the running total of the rates
+    of the events separating ``masks[i]`` into two parts (`_running_rates`
+    on that mask's row), and ``rates[i]`` its last entry, the mask's split
+    rate.  A mask's row is computed the first time a lane meets it and
+    looked up afterwards: a walk meets few distinct fragments, however
+    many lanes and events it has.
     """
 
     def __init__(self, ent_mask1, ent_rate):
         self.events = ent_mask1, ent_rate
         self.masks = np.empty(0, np.int64)
+        self.running = np.empty((0, ent_rate.shape[0]))
         self.rates = np.empty(0)
 
-    def __call__(self, masks):
+    def find(self, masks):
+        """Row of each mask, adding the masks not met before."""
         at = np.searchsorted(self.masks, masks)
         known = at < self.masks.shape[0]
         known[known] = self.masks[at[known]] == masks[known]
@@ -263,10 +221,18 @@ class _SplitRateTable:
             # np.ma.is_masked, whose first use imports numpy.ma (about 20 ms)
             new = np.sort(masks[~known])
             new = new[np.append(True, new[1:] != new[:-1])]
+            ent_mask1, ent_rate = self.events
             order = np.argsort(np.concatenate([self.masks, new]))
             self.masks = np.concatenate([self.masks, new])[order]
-            self.rates = np.concatenate([self.rates, _split_rates(*self.events, new)])[order]
+            rows = _running_rates(_separates(new, ent_mask1), ent_rate)
+            self.running = np.concatenate([self.running, rows])[order]
+            self.rates = self.running[:, -1] if ent_rate.shape[0] else np.zeros(order.shape[0])
             at = np.searchsorted(self.masks, masks)
+        return at
+
+    def __call__(self, masks):
+        """Split rate of each mask."""
+        at = self.find(masks)
         return self.rates[at]
 
 
@@ -287,9 +253,9 @@ def _refine_lanes(ent_mask1, ent_rate, n_sites, t_end, st, start, history=None):
     n_lanes, n_start = st.shape[0], start.shape[0]
     blocks = np.zeros((n_lanes, n_sites), np.int64)
     blocks[:, :n_start] = start
-    split_rate = _SplitRateTable(ent_mask1, ent_rate)
+    table = _SplitRateTable(ent_mask1, ent_rate)
     psi = np.zeros((n_lanes, n_sites))
-    psi[:, :n_start] = split_rate(start)
+    psi[:, :n_start] = table(start)
     nb = np.full(n_lanes, n_start)
     t = np.zeros(n_lanes)
     live = np.arange(n_lanes)
@@ -313,15 +279,16 @@ def _refine_lanes(ent_mask1, ent_rate, n_sites, t_end, st, start, history=None):
         u = _lane_uniforms(st, live) * tot
         bi = ((u[:, None] < cum) | (cum == tot[:, None])).argmax(axis=1)
         U = blocks[live, bi]
-        acc = _running_rates(_separates(U, ent_mask1), ent_rate)
-        u = _lane_uniforms(st, live) * acc[:, -1]
-        ev = ((u[:, None] < acc) | (acc == acc[:, -1:])).argmax(axis=1)
+        at = table.find(U)
+        acc, u_tot = table.running[at], table.rates[at]
+        u = _lane_uniforms(st, live) * u_tot
+        ev = ((u[:, None] < acc) | (acc == u_tot[:, None])).argmax(axis=1)
         p1, p2 = U & ent_mask1[ev], U & ~ent_mask1[ev]
         k = nb[live]
         blocks[live, bi] = p1
-        psi[live, bi] = split_rate(p1)
+        psi[live, bi] = table(p1)
         blocks[live, k] = p2
-        psi[live, k] = split_rate(p2)
+        psi[live, k] = table(p2)
         nb[live] = k + 1
         if history is not None:
             history.extend((t[j], blocks[j, : nb[j]].copy()) for j in live)
@@ -365,11 +332,7 @@ def partition_batch(
     first-occurrence order.  Raises DomainError past 64 sites, the width
     of an int64 block mask.
     """
-    n_sites = int(n_sites)
-    if n_sites > _MAX_SITES:
-        raise DomainError(
-            f"the partition sampler handles at most {_MAX_SITES} sites, got {n_sites}"
-        )
+    n_sites = _site_count(n_sites, "partition sampler")
     ent_mask1, ent_rate = _i64(ent_mask1), _f64(ent_rate)
     start_blocks = _i64(start_blocks)
     t_end, seed, rep_lo = float(t_end), _seed_u64(seed), int(rep_lo)
@@ -409,8 +372,9 @@ def partition_history(ent_mask1, ent_rate, n_sites, start_blocks, t_end, seed, r
 # Uniforms per numpy block of a Moran replicate's stream.
 _BLOCK = 4096
 
-# Most uniforms one Moran event reads: its waiting time, the dying
-# individual, the recombination event and two parents.
+# Most uniforms one event reads: its waiting time, one individual (the
+# dying one, or the ancestor that moves back), the recombination event,
+# and two parents or parent slots.
 _EVENT_DRAWS = 5
 
 # Largest (events x types) digit table stored as lists; past it each
@@ -420,19 +384,23 @@ _TABLE_CAP = 1 << 18
 
 class _Stream:
     """One stream read in order from a Python list filled a numpy block at
-    a time: ``buf[pos:]`` are drawn uniforms not read yet, and `k` counts
-    the uniforms drawn, so the next block starts at uniform k + 1."""
+    a time: ``buf[pos:]`` are drawn uniforms not read yet, `k` counts the
+    uniforms drawn, so the next block starts at uniform k + 1, and `block`
+    is the size of a refill (`_BLOCK` by default)."""
 
-    __slots__ = ("s0", "k", "buf", "pos")
+    __slots__ = ("s0", "k", "buf", "pos", "block")
 
-    def __init__(self, s0, k=0):
-        self.s0, self.k, self.buf, self.pos = s0, k, [], 0
+    def __init__(self, s0, k=0, buf=None, block=None):
+        self.s0, self.k, self.pos = s0, k, 0
+        self.buf = [] if buf is None else buf
+        self.block = _BLOCK if block is None else block
 
     def refill(self):
         """Append a block to the unread tail; returns the new buffer, whose
         first entry is the next uniform."""
-        self.buf = self.buf[self.pos :] + _block_uniforms(self.s0, self.k, _BLOCK).tolist()
-        self.k += _BLOCK
+        fresh = _block_uniforms(self.s0, self.k, self.block).tolist()
+        self.buf = self.buf[self.pos :] + fresh
+        self.k += self.block
         self.pos = 0
         return self.buf
 
@@ -619,170 +587,159 @@ def moran_event_pairs(counts0, places, sizes, ent_mask1, ent_prob, seed, n_event
 
 
 # --------------------------------------------------------------------------
-# finite-N backward process (ARG): split, sample a parent slot, coalesce
+# finite-N backward process (ARG): one replicate at a time on a bulk-drawn
+# stream
 # --------------------------------------------------------------------------
 
+# A backward replicate reads a few dozen uniforms: the first `_ARG_BLOCK`
+# of `_ARG_CHUNK` replicates come from one numpy call, and a replicate
+# that reads past them refills `_ARG_BLOCK` at a time.
+_ARG_CHUNK = 256
+_ARG_BLOCK = 128
 
-def _arg_one(ent_mask1, ent_prob, mu, n_sites, N, t_end, st, mat, frag_mask, frag_owner):
-    """One backward run from a single individual carrying all sites.
 
-    mat[:m] holds the site-material mask per ancestral individual;
-    frag_mask/frag_owner[:nf] the never-coarsening site fragments and the
-    individual currently carrying each.  Returns (m, nf).
+def _arg_streams(seed, rep_lo, n_reps):
+    """The streams of replicates rep_lo ... rep_lo + n_reps - 1, each
+    holding its first `_ARG_BLOCK` uniforms."""
+    for lo in range(0, n_reps, _ARG_CHUNK):
+        count = min(_ARG_CHUNK, n_reps - lo)
+        s0 = _stream_state(seed, np.uint64(rep_lo + lo) + np.arange(count, dtype=np.uint64))
+        first = _block_uniforms(s0[:, None], 0, _ARG_BLOCK).tolist()
+        for s, buf in zip(s0, first):
+            yield _Stream(s, _ARG_BLOCK, buf, _ARG_BLOCK)
+
+
+def _arg_events(ent_mask1, ent_prob):
+    """Running event probabilities (summed left to right) and the event
+    masks as unsigned Python ints, 0 appended for the draw past the last
+    one.  Unsigned, every mask the walk forms is nonnegative, so clearing
+    its lowest bits one at a time ends at 0 even with bit 63 set."""
+    cum_prob = list(itertools.accumulate(_f64(ent_prob).tolist()))
+    return cum_prob, _i64(ent_mask1).view(np.uint64).tolist() + [0]
+
+
+def _other(s, j, m):
+    """Position, after ancestor j left the list of m, of the ancestor in
+    parent slot s, or -1 for a slot past the m - 1 others."""
+    if s >= m - 1:
+        return -1
+    if s < j:
+        return s
+    return j if s == m - 2 else s + 1
+
+
+def _arg_walk(src, mu, N, t_end, full, cum_prob, masks):
+    """One backward run from a single individual carrying the sites `full`.
+
+    Returns (material, fragments): the site mask each ancestral individual
+    carries, and the site fragments, which only ever split.  Each event
+    reads its waiting time (at rate m * mu for m ancestors), the ancestor
+    j that moves back, the recombination event (masks[e], the last one 0
+    for none) and a parent slot for each part of j's material.  Slots
+    below m - 1 are the other ancestors in list order, the rest are
+    members of the N-sized parent generation carrying nothing yet, and
+    two parts drawing the same such slot share one new ancestor.  j leaves
+    the list, the last ancestor taking its place; new ancestors are
+    appended, as are the second parts of the fragments the event cuts.
     """
-    full = (np.int64(1) << n_sites) - np.int64(1)
-    m = 1
-    mat[0] = full
-    nf = 1
-    frag_mask[0] = full
-    frag_owner[0] = 0
-    E = ent_prob.shape[0]
-    t = 0.0
+    mat, frags = [full], [full]
+    buf, i, t = src.buf, src.pos, 0.0
     while True:
-        t += -math.log(1.0 - _u(st)) / (m * mu)
+        if i > len(buf) - _EVENT_DRAWS:
+            src.pos = i
+            buf, i = src.refill(), 0
+        m = len(mat)
+        t += -math.log(1.0 - buf[i]) / (m * mu)
         if t > t_end:
-            break
-        j = _ri(st, m)
+            src.pos = i + 1
+            return mat, frags
+        j = int(buf[i + 1] * m)
+        j = j if j < m else m - 1
         U = mat[j]
-        u = _u(st)
-        acc = 0.0
-        mask1 = np.int64(0)
-        for e in range(E):
-            acc += ent_prob[e]
-            if u < acc:
-                mask1 = ent_mask1[e]
-                break
-        p1 = U & mask1
-        p2 = U & (~mask1)
-        two_parts = p1 != 0 and p2 != 0
-        if not two_parts:
-            p1 = U
-        # parent slots: values < m-1 address the other ancestors, the rest
-        # are unoccupied members of the N-sized parent generation
-        s1 = _ri(st, N)
-        s2 = _ri(st, N) if two_parts else -1
-        if s1 < m - 1:
-            d1 = s1 if s1 < j else s1 + 1
+        mask1 = masks[bisect_right(cum_prob, buf[i + 2])]
+        p1, p2 = U & mask1, U & ~mask1
+        r = int(buf[i + 3] * N)
+        s1 = r if r < N else N - 1
+        if p1 and p2:
+            r = int(buf[i + 4] * N)
+            s2 = r if r < N else N - 1
+            i += 5
+            for f in range(len(frags)):
+                fm = frags[f]
+                if fm & p1 and fm & p2:
+                    frags[f] = fm & p1
+                    frags.append(fm & p2)
         else:
-            d1 = -1
-        if two_parts:
-            if s2 < m - 1:
-                d2 = s2 if s2 < j else s2 + 1
+            p1, p2 = U, 0
+            i += 4
+        last = mat.pop()
+        if j < m - 1:
+            mat[j] = last
+        d1 = _other(s1, j, m)
+        if not p2:
+            if d1 < 0:
+                mat.append(p1)
             else:
-                d2 = -1
+                mat[d1] |= p1
+            continue
+        d2 = _other(s2, j, m)
+        if d1 < 0 and d2 < 0 and s1 == s2:
+            mat.append(U)
+            continue
+        if d1 < 0:
+            mat.append(p1)
         else:
-            d2 = -2  # unused
-        # mark the fragments of j before indices shuffle
-        for f in range(nf):
-            if frag_owner[f] == j:
-                frag_owner[f] = -1
-        # remove j: swap the last individual into slot j
-        last = m - 1
-        if j != last:
-            mat[j] = mat[last]
-            for f in range(nf):
-                if frag_owner[f] == last:
-                    frag_owner[f] = j
-            if d1 == last:
-                d1 = j
-            if d2 == last:
-                d2 = j
-        m -= 1
-        # place the parts
-        if two_parts:
-            if d1 >= 0 and d2 >= 0:
-                mat[d1] |= p1
-                mat[d2] |= p2
-            elif d1 >= 0:
-                mat[d1] |= p1
-                d2 = m
-                mat[d2] = p2
-                m += 1
-            elif d2 >= 0:
-                mat[d2] |= p2
-                d1 = m
-                mat[d1] = p1
-                m += 1
-            else:
-                if s1 == s2:
-                    d1 = m
-                    d2 = m
-                    mat[m] = p1 | p2
-                    m += 1
-                else:
-                    d1 = m
-                    mat[d1] = p1
-                    m += 1
-                    d2 = m
-                    mat[d2] = p2
-                    m += 1
+            mat[d1] |= p1
+        if d2 < 0:
+            mat.append(p2)
         else:
-            if d1 >= 0:
-                mat[d1] |= p1
-            else:
-                d1 = m
-                mat[d1] = p1
-                m += 1
-        # reassign (and possibly split) the fragments that belonged to j
-        n_old = nf
-        for f in range(n_old):
-            if frag_owner[f] != -1:
-                continue
-            fm = frag_mask[f]
-            if two_parts:
-                f1 = fm & p1
-                f2 = fm & p2
-                if f1 != 0 and f2 != 0:
-                    frag_mask[f] = f1
-                    frag_owner[f] = d1
-                    frag_mask[nf] = f2
-                    frag_owner[nf] = d2
-                    nf += 1
-                elif f1 != 0:
-                    frag_owner[f] = d1
-                else:
-                    frag_owner[f] = d2
-            else:
-                frag_owner[f] = d1
-    return m, nf
+            mat[d2] |= p2
+
+
+def _site_labels(frags, n_sites):
+    """Canonical site labels of disjoint fragments covering the sites: a
+    fragment's label is the number of fragments whose lowest site lies
+    below its own (first-occurrence order)."""
+    row = [0] * n_sites
+    for label, fm in enumerate(sorted(frags, key=lambda f: f & -f)):
+        while fm:
+            low = fm & -fm
+            row[low.bit_length() - 1] = label
+            fm ^= low
+    return row
 
 
 @_entry
 def arg_batch(ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, n_reps, rep_lo=0):
     """Backward-process batch: per replicate the final site-fragment
-    labels (a partition of the sites) and the ancestral-individual count."""
-    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
-    mu, n_sites, N, t_end = float(mu), int(n_sites), int(N), float(t_end)
-    seed, rep_lo = _seed_u64(seed), int(rep_lo)
-    out_rows = np.empty((n_reps, n_sites), np.int8)
-    out_anc = np.empty(n_reps, np.int32)
-    mat = np.zeros(n_sites, np.int64)
-    frag_mask = np.zeros(n_sites, np.int64)
-    frag_owner = np.zeros(n_sites, np.int64)
-    st = np.zeros(1, np.uint64)
-    for rr in range(n_reps):
-        st[0] = _stream_state(seed, rep_lo + rr)
-        m, nf = _arg_one(
-            ent_mask1, ent_prob, mu, n_sites, N, t_end, st, mat, frag_mask, frag_owner
-        )
-        _label_sites(frag_mask, nf, n_sites, out_rows[rr])
-        out_anc[rr] = m
-    return out_rows, out_anc
+    labels (a partition of the sites) and the ancestral-individual count.
+    Raises DomainError past 64 sites, the width of an int64 site mask."""
+    n_sites = _site_count(n_sites, "backward sampler")
+    cum_prob, masks = _arg_events(ent_mask1, ent_prob)
+    mu, N, t_end, n_reps = float(mu), int(N), float(t_end), int(n_reps)
+    rows, ancestors = [], []
+    for src in _arg_streams(_seed_u64(seed), int(rep_lo), n_reps):
+        mat, frags = _arg_walk(src, mu, N, t_end, (1 << n_sites) - 1, cum_prob, masks)
+        rows.append(_site_labels(frags, n_sites))
+        ancestors.append(len(mat))
+    return (
+        np.array(rows, np.int8).reshape(n_reps, n_sites),
+        np.array(ancestors, np.int32),
+    )
 
 
 @_entry
 def arg_state(ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, replicate=0):
-    """One backward run; returns (fragment masks, fragment owners, m)."""
-    n_sites = int(n_sites)
-    frag_mask = np.zeros(n_sites, np.int64)
-    frag_owner = np.zeros(n_sites, np.int64)
-    st = np.zeros(1, np.uint64)
-    st[0] = _stream_state(_seed_u64(seed), int(replicate))
-    m, nf = _arg_one(
-        _i64(ent_mask1), _f64(ent_prob), float(mu), n_sites, int(N), float(t_end), st,
-        np.zeros(n_sites, np.int64), frag_mask, frag_owner,
+    """One backward run, the batch's replicate `replicate`; returns
+    (fragment masks, the index of the ancestor carrying each, m)."""
+    n_sites = _site_count(n_sites, "backward sampler")
+    src = next(_arg_streams(_seed_u64(seed), int(replicate), 1))
+    mat, frags = _arg_walk(
+        src, float(mu), int(N), float(t_end), (1 << n_sites) - 1,
+        *_arg_events(ent_mask1, ent_prob),
     )
-    return frag_mask[:nf].copy(), frag_owner[:nf].copy(), m
+    owners = [next(k for k, mk in enumerate(mat) if mk & fm) for fm in frags]
+    return np.array(frags, np.uint64).view(np.int64), np.array(owners, np.int64), len(mat)
 
 
 @_entry
@@ -791,40 +748,46 @@ def reconstruct_batch(
     rep_lo=0,
 ):
     """Sample present-day types by running the backward process and copying
-    founder letters blockwise; returns flat type indices per replicate."""
-    ent_mask1, ent_prob = _i64(ent_mask1), _f64(ent_prob)
-    mu, n_sites, N, t_end = float(mu), int(n_sites), int(N), float(t_end)
-    seed, rep_lo = _seed_u64(seed), int(rep_lo)
-    z0_counts, places, sizes = _i64(z0_counts), _i64(places), _i64(sizes)
-    out = np.empty(n_reps, np.int64)
-    mat = np.zeros(n_sites, np.int64)
-    frag_mask = np.zeros(n_sites, np.int64)
-    frag_owner = np.zeros(n_sites, np.int64)
-    tmp = np.zeros(z0_counts.shape[0], np.int64)
-    ind_type = np.zeros(n_sites, np.int64)
-    st = np.zeros(1, np.uint64)
-    for rr in range(n_reps):
-        st[0] = _stream_state(seed, rep_lo + rr)
-        m, nf = _arg_one(
-            ent_mask1, ent_prob, mu, n_sites, N, t_end, st, mat, frag_mask, frag_owner
-        )
-        # assign each ancestral individual a founder drawn without
-        # replacement from the initial population
-        tmp[:] = z0_counts
-        remaining = N
-        for ind in range(m):
-            ind_type[ind] = _draw_weighted(tmp, remaining, st)
-            tmp[ind_type[ind]] -= 1
-            remaining -= 1
-        x = 0
-        for f in range(nf):
-            src = ind_type[frag_owner[f]]
-            fm = frag_mask[f]
-            for s in range(n_sites):
-                if (fm >> s) & 1:
-                    x += ((src // places[s]) % sizes[s]) * places[s]
-        out[rr] = x
-    return out
+    founder letters blockwise; returns flat type indices per replicate.
+
+    Each ancestral individual, in list order, gets a founder drawn without
+    replacement from the initial population z0_counts (N individuals
+    ordered by type): the ``int(u * n)``-th of the n not yet taken.
+    """
+    n_sites = _site_count(n_sites, "backward sampler")
+    cum_prob, masks = _arg_events(ent_mask1, ent_prob)
+    mu, N, t_end = float(mu), int(N), float(t_end)
+    cum = list(itertools.accumulate(_i64(z0_counts).tolist()))
+    if cum[-1] != N:
+        raise DomainError(f"the initial counts sum to {cum[-1]}, not to N = {N}")
+    places, sizes = _i64(places).tolist(), _i64(sizes).tolist()
+    digits = {}  # founder type -> digit * place per site
+    out = []
+    for src in _arg_streams(_seed_u64(seed), int(rep_lo), int(n_reps)):
+        mat, _ = _arg_walk(src, mu, N, t_end, (1 << n_sites) - 1, cum_prob, masks)
+        buf, i = src.buf, src.pos
+        while len(buf) - i < len(mat):
+            buf, i = src.refill(), 0
+        taken, x = [], 0  # positions of the founders drawn, ascending
+        for n, material in zip(range(N, 0, -1), mat):
+            r = int(buf[i] * n)
+            i += 1
+            pos = r if r < n else n - 1
+            for p in taken:
+                if p > pos:
+                    break
+                pos += 1
+            insort(taken, pos)
+            founder = bisect_right(cum, pos)
+            row = digits.get(founder)
+            if row is None:
+                row = digits[founder] = [founder // p % s * p for p, s in zip(places, sizes)]
+            while material:
+                low = material & -material
+                x += row[low.bit_length() - 1]
+                material ^= low
+        out.append(x)
+    return np.array(out, np.int64)
 
 
 # --------------------------------------------------------------------------

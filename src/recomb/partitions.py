@@ -225,13 +225,15 @@ def count_label_rows(
     ``np.unique(rows, axis=0)``, each row's position and each one's count.
 
     Rows compare as raw bytes: that order for labels in 0..127, and far
-    cheaper than sorting row records.
+    cheaper than sorting row records.  A row's partition is shared with
+    every earlier call that met the same row on the same ground set (the
+    last 4096 are kept), so results held side by side share their keys.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int8)
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    labels = uniq.view(np.int8).reshape(-1, rows.shape[1])
-    return [Partition.from_labels(row, ground) for row in labels], inverse, counts
+    ground = tuple(ground)
+    return [_label_partition(key.tobytes(), ground) for key in uniq], inverse, counts
 
 
 def interval_partition(n: int, cuts: Iterable[int]) -> Partition:
@@ -381,3 +383,9 @@ def shared_index(ground: Iterable[int]) -> PartitionIndex:
 @functools.lru_cache(maxsize=16)
 def _shared_index(ground: tuple[int, ...]) -> PartitionIndex:
     return PartitionIndex(ground)
+
+
+@functools.lru_cache(maxsize=4096)
+def _label_partition(row: bytes, ground: tuple[int, ...]) -> Partition:
+    """The partition of one row of site labels (labels 0..127 as bytes)."""
+    return Partition.from_labels(row, ground)

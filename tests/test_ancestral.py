@@ -9,6 +9,8 @@ three-site reference model before this package produced any numbers.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recomb import (
     CoefficientVector,
@@ -29,6 +31,7 @@ from recomb import (
     partitioning_history,
     simulate_partitioning,
     transition_semigroup,
+    two_block_partitions,
 )
 from recomb import _kernels
 from recomb.ancestral import _poisson_weights
@@ -168,6 +171,40 @@ def test_poisson_series_stops_when_rounding_stalls_the_sum(q3):
     assert -q.diagonal().min() == 1.0  # lambda = 1, so lambda * t = t
     got = transition_semigroup(q3, lt).values
     assert np.max(np.abs(got - expm(lt * q))) <= 1e-13
+
+
+@st.composite
+def marginal_cases(draw):
+    """A general model on n <= 6 sites (some splits at rate 0, a residual
+    rate), a nonempty site subset U and a time."""
+    n = draw(st.sampled_from([6, 5, 4, 3, 2]))
+    ground = tuple(range(1, n + 1))
+    rate = st.one_of(st.floats(0.05, 2.0), st.just(0.0))
+    rates = {a: draw(rate) for a in two_block_partitions(ground)}
+    d = RecombinationDistribution.from_rates(ground, rates, draw(st.floats(0.1, 1.0)))
+    u = tuple(sorted(draw(st.sets(st.sampled_from(ground), min_size=1))))
+    return d, u, draw(st.sampled_from([0.3, 1.0, 5.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(marginal_cases())
+def test_semigroup_restricted_to_a_subset_is_the_marginal_semigroup(case):
+    # restricting the partitioning process to U gives the partitioning
+    # process of the marginal model on U
+    d, u, t = case
+    restricted: dict[Partition, float] = {}
+    for a, w in coefficients_semigroup(build_generator(d, PartitionIndex(d.ground)), t).items():
+        b = a.restrict(u)
+        restricted[b] = restricted.get(b, 0.0) + w
+    marginal = RecombinationDistribution.from_rates(
+        u,
+        {b: d.marginal_rate(u, b) for b in two_block_partitions(u)},
+        d.marginal_rate(u, Partition.one_block(u)),
+    )
+    want = coefficients_semigroup(build_generator(marginal, PartitionIndex(u)), t)
+    assert len(restricted) == len(want.index)
+    for b, w in want.items():
+        assert abs(restricted[b] - w) <= 1e-12, (b, t)
 
 
 def test_negative_time_rejected(q3, model3):

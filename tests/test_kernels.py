@@ -3,9 +3,9 @@
 The raw generator is pinned to an independently computed reference
 (pure-Python 64-bit mix, written down before the package existed),
 every public kernel's output on a fixed batch is pinned by digest, and
-the lane-form partition sampler and the bulk-stream Moran kernels are
-checked bitwise against the draw-at-a-time scalar walks they replaced,
-kept here as the references.
+the lane-form partition sampler and the bulk-stream Moran, ARG and
+reconstruction kernels are checked bitwise against the draw-at-a-time
+scalar walks they replaced, kept here as the references.
 """
 
 import hashlib
@@ -46,6 +46,67 @@ FIRST_UNIFORM_SEED9 = [
     0.24824308745284485,
     0.8580482225385659,
 ]
+
+
+# ---------------------------------------------------------------------------
+# the draw-at-a-time stream the reference walks read (one np.uint64 state,
+# stepped once per draw)
+# ---------------------------------------------------------------------------
+
+
+def _next_u64(st):
+    st[0] = st[0] + K._SM_GOLDEN
+    z = st[0]
+    z = (z ^ (z >> K._SH30)) * K._SM_MIX1
+    z = (z ^ (z >> K._SH27)) * K._SM_MIX2
+    return z ^ (z >> K._SH31)
+
+
+def _u(st):
+    """Uniform float64 in [0, 1) with 53 random bits."""
+    return float(_next_u64(st) >> K._SH11) * K._INV53
+
+
+def _ri(st, n):
+    """Uniform integer in [0, n)."""
+    i = int(_u(st) * n)
+    if i >= n:
+        i = n - 1
+    return i
+
+
+def _draw_weighted(counts, total, st):
+    """Index drawn with probability counts[i]/total (integer weights)."""
+    u = _ri(st, total)
+    acc = 0
+    last = counts.shape[0] - 1
+    for idx in range(last):
+        acc += counts[idx]
+        if u < acc:
+            return idx
+    return last
+
+
+def _label_sites(masks, count, n_sites, out_row):
+    """Canonical block labels per site (first-occurrence order).
+
+    Returns the number of blocks; out_row[site] gets the label of the
+    block containing that site.
+    """
+    for s in range(n_sites):
+        out_row[s] = -1
+    nxt = 0
+    for s in range(n_sites):
+        if out_row[s] >= 0:
+            continue
+        for f in range(count):
+            if (masks[f] >> s) & 1:
+                for s2 in range(s, n_sites):
+                    if (masks[f] >> s2) & 1:
+                        out_row[s2] = nxt
+                nxt += 1
+                break
+    return nxt
 
 
 def test_raw_generator_matches_reference_vectors():
@@ -161,10 +222,10 @@ def _partition_walk(ent_mask1, ent_rate, t_end, st, blocks, nb, history):
             tot += psi_b[i]
         if tot <= 0.0:
             break
-        t += -math.log(1.0 - K._u(st)) / tot
+        t += -math.log(1.0 - _u(st)) / tot
         if t > t_end:
             break
-        u = K._u(st) * tot
+        u = _u(st) * tot
         acc = 0.0
         bi = nb - 1
         for i in range(nb):
@@ -173,7 +234,7 @@ def _partition_walk(ent_mask1, ent_rate, t_end, st, blocks, nb, history):
                 bi = i
                 break
         U = blocks[bi]
-        u2 = K._u(st) * psi_b[bi]
+        u2 = _u(st) * psi_b[bi]
         acc2 = 0.0
         p1 = np.int64(0)
         p2 = np.int64(0)
@@ -208,7 +269,7 @@ def _reference_run(masks, rates, n_sites, start, t_end, seed, rep):
             blocks, len(start), history,
         )
     labels = np.empty(n_sites, np.int8)
-    K._label_sites(blocks, nb, n_sites, labels)
+    _label_sites(blocks, nb, n_sites, labels)
     return history, labels
 
 
@@ -328,8 +389,8 @@ def _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st):
     Parents are drawn with replacement from the pre-event counts, so the
     dying individual itself can be a parent.  Does not modify counts.
     """
-    y = K._draw_weighted(counts, N, st)
-    u = K._u(st)
+    y = _draw_weighted(counts, N, st)
+    u = _u(st)
     acc = 0.0
     mask1 = np.int64(0)
     recombining = False
@@ -340,10 +401,10 @@ def _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st):
             recombining = True
             break
     if not recombining:
-        x = K._draw_weighted(counts, N, st)
+        x = _draw_weighted(counts, N, st)
         return y, x
-    pa = K._draw_weighted(counts, N, st)
-    pb = K._draw_weighted(counts, N, st)
+    pa = _draw_weighted(counts, N, st)
+    pb = _draw_weighted(counts, N, st)
     x = 0
     for s in range(places.shape[0]):
         if (mask1 >> s) & 1:
@@ -364,7 +425,7 @@ def _moran_run(counts, places, sizes, ent_mask1, ent_prob, mu, duration, st):
     rate = N * mu
     t = 0.0
     while True:
-        t += -math.log(1.0 - K._u(st)) / rate
+        t += -math.log(1.0 - _u(st)) / rate
         if t > duration:
             break
         y, x = _moran_event(counts, N, places, sizes, ent_mask1, ent_prob, st)
@@ -377,7 +438,7 @@ def _fill_multinomial(counts, w_cum, N, st):
     K_ = counts.shape[0]
     counts[:] = 0
     for _ in range(N):
-        u = K._u(st)
+        u = _u(st)
         idx = K_ - 1
         for j in range(K_ - 1):
             if u < w_cum[j]:
@@ -479,6 +540,256 @@ def test_moran_kernels_match_scalar_walk(name, stored_tables, block, monkeypatch
         with np.errstate(divide="ignore"):
             want = _moran_reference(case, 0.0, grid, 7, 0)
         assert np.array_equal(still[0], want)
+
+
+# ---------------------------------------------------------------------------
+# ARG and reconstruction kernels against the draw-at-a-time scalar walk
+# ---------------------------------------------------------------------------
+
+
+def _arg_one(ent_mask1, ent_prob, mu, n_sites, N, t_end, st, mat, frag_mask, frag_owner):
+    """One backward run from a single individual carrying all sites.
+
+    mat[:m] holds the site-material mask per ancestral individual;
+    frag_mask/frag_owner[:nf] the never-coarsening site fragments and the
+    individual currently carrying each.  Returns (m, nf).
+    """
+    full = (np.int64(1) << n_sites) - np.int64(1)
+    m = 1
+    mat[0] = full
+    nf = 1
+    frag_mask[0] = full
+    frag_owner[0] = 0
+    E = ent_prob.shape[0]
+    t = 0.0
+    while True:
+        t += -math.log(1.0 - _u(st)) / (m * mu)
+        if t > t_end:
+            break
+        j = _ri(st, m)
+        U = mat[j]
+        u = _u(st)
+        acc = 0.0
+        mask1 = np.int64(0)
+        for e in range(E):
+            acc += ent_prob[e]
+            if u < acc:
+                mask1 = ent_mask1[e]
+                break
+        p1 = U & mask1
+        p2 = U & (~mask1)
+        two_parts = p1 != 0 and p2 != 0
+        if not two_parts:
+            p1 = U
+        # parent slots: values < m-1 address the other ancestors, the rest
+        # are unoccupied members of the N-sized parent generation
+        s1 = _ri(st, N)
+        s2 = _ri(st, N) if two_parts else -1
+        if s1 < m - 1:
+            d1 = s1 if s1 < j else s1 + 1
+        else:
+            d1 = -1
+        if two_parts:
+            if s2 < m - 1:
+                d2 = s2 if s2 < j else s2 + 1
+            else:
+                d2 = -1
+        else:
+            d2 = -2  # unused
+        # mark the fragments of j before indices shuffle
+        for f in range(nf):
+            if frag_owner[f] == j:
+                frag_owner[f] = -1
+        # remove j: swap the last individual into slot j
+        last = m - 1
+        if j != last:
+            mat[j] = mat[last]
+            for f in range(nf):
+                if frag_owner[f] == last:
+                    frag_owner[f] = j
+            if d1 == last:
+                d1 = j
+            if d2 == last:
+                d2 = j
+        m -= 1
+        # place the parts
+        if two_parts:
+            if d1 >= 0 and d2 >= 0:
+                mat[d1] |= p1
+                mat[d2] |= p2
+            elif d1 >= 0:
+                mat[d1] |= p1
+                d2 = m
+                mat[d2] = p2
+                m += 1
+            elif d2 >= 0:
+                mat[d2] |= p2
+                d1 = m
+                mat[d1] = p1
+                m += 1
+            else:
+                if s1 == s2:
+                    d1 = m
+                    d2 = m
+                    mat[m] = p1 | p2
+                    m += 1
+                else:
+                    d1 = m
+                    mat[d1] = p1
+                    m += 1
+                    d2 = m
+                    mat[d2] = p2
+                    m += 1
+        else:
+            if d1 >= 0:
+                mat[d1] |= p1
+            else:
+                d1 = m
+                mat[d1] = p1
+                m += 1
+        # reassign (and possibly split) the fragments that belonged to j
+        n_old = nf
+        for f in range(n_old):
+            if frag_owner[f] != -1:
+                continue
+            fm = frag_mask[f]
+            if two_parts:
+                f1 = fm & p1
+                f2 = fm & p2
+                if f1 != 0 and f2 != 0:
+                    frag_mask[f] = f1
+                    frag_owner[f] = d1
+                    frag_mask[nf] = f2
+                    frag_owner[nf] = d2
+                    nf += 1
+                elif f1 != 0:
+                    frag_owner[f] = d1
+                else:
+                    frag_owner[f] = d2
+            else:
+                frag_owner[f] = d1
+    return m, nf
+
+
+# inverse of the stream increment modulo 2**64: recovers a draw count
+_GOLDEN_INV = pow(int(K._SM_GOLDEN), -1, 1 << 64)
+
+
+@np.errstate(over="ignore")  # the generator wraps modulo 2**64
+def _arg_reference(model, N, t_end, seed, rep, founders=None):
+    """Replicate `rep` of the backward kernels, one draw at a time.
+
+    Returns (site labels, m, fragment masks, fragment owners, uniforms
+    read) and, with `founders` (z0_counts, places, sizes), the
+    reconstructed type as a last entry.
+    """
+    masks, probs = model.event_arrays()
+    n = model.n_sites
+    mat, frag_mask, frag_owner = (np.zeros(n, np.int64) for _ in range(3))
+    s0 = K._stream_state(K._seed_u64(seed), rep)
+    st = np.array([s0])
+    m, nf = _arg_one(masks, probs, model.mu, n, N, t_end, st, mat, frag_mask, frag_owner)
+    labels = np.empty(n, np.int8)
+    _label_sites(frag_mask, nf, n, labels)
+    out = [labels, m, frag_mask[:nf].copy(), frag_owner[:nf].copy()]
+    if founders is not None:
+        # each ancestral individual gets a founder drawn without
+        # replacement from the initial population
+        z0_counts, places, sizes = founders
+        tmp = z0_counts.copy()
+        ind_type = np.zeros(n, np.int64)
+        for ind in range(m):
+            ind_type[ind] = _draw_weighted(tmp, N - ind, st)
+            tmp[ind_type[ind]] -= 1
+        x = 0
+        for f in range(nf):
+            src = ind_type[frag_owner[f]]
+            for s in range(n):
+                if (frag_mask[f] >> s) & 1:
+                    x += ((src // places[s]) % sizes[s]) * places[s]
+        out.append(x)
+    out.insert(4, int((st[0] - s0) * np.uint64(_GOLDEN_INV)))
+    return out
+
+
+ARG_MODELS = {
+    "three-site": (lambda: _general(3, 3), [2, 2, 2]),
+    # a site with three alleles makes the founder digits mixed-radix
+    "three-alleles": (lambda: _general(3, 33), [2, 3, 2]),
+    "general-5": (lambda: _general(5, 605), [2, 2, 2, 2, 2]),
+    "crossover-6": (lambda: _crossover(6, 606), [2] * 6),
+}
+
+
+@pytest.mark.parametrize("block", [K._ARG_BLOCK, 7], ids=["block", "short-blocks"])
+@pytest.mark.parametrize("name", sorted(ARG_MODELS))
+def test_arg_kernels_match_scalar_walk(name, block, monkeypatch):
+    # short blocks make replicates overrun their first block and refill,
+    # and short chunks split a batch's first draws over several numpy calls
+    monkeypatch.setattr(K, "_ARG_BLOCK", block)
+    monkeypatch.setattr(K, "_ARG_CHUNK", 3 if block == 7 else K._ARG_CHUNK)
+    d, alleles = ARG_MODELS[name][0](), ARG_MODELS[name][1]
+    masks, probs = d.event_arrays()
+    n = d.n_sites
+    space = TypeSpace(alleles)
+    places, sizes = np.array(space.places), np.array(space.alphabet_sizes)
+    rng = np.random.default_rng(len(name))
+    most_read = 0
+    # N = 1 and 2 coalesce two parts drawn to the same new parent (s1 == s2)
+    for N in (1, 2, 30):
+        z0 = np.bincount(rng.integers(1, space.cardinality, N), minlength=space.cardinality)
+        assert z0[0] == 0  # a founder type of count 0
+        for t_end in (0.0, 0.7, 8.0):  # 8.0: a long horizon, many events
+            args = (masks, probs, d.mu, n, N, t_end, 11)
+            rows, anc = K.arg_batch(*args, 12, rep_lo=4)
+            head, tail = K.arg_batch(*args, 5, rep_lo=4), K.arg_batch(*args, 7, rep_lo=9)
+            assert np.array_equal(rows, np.concatenate([head[0], tail[0]]))
+            assert np.array_equal(anc, np.concatenate([head[1], tail[1]]))
+            types = K.reconstruct_batch(*args, 12, z0, places, sizes, rep_lo=4)
+            assert rows.dtype == np.int8 and anc.dtype == np.int32 and types.dtype == np.int64
+            for r in range(12):
+                labels, m, frag_mask, frag_owner, read, x = _arg_reference(
+                    d, N, t_end, 11, 4 + r, (z0, places, sizes)
+                )
+                where = f"{name} N={N} t={t_end} replicate {4 + r}"
+                assert rows[r].tobytes() == labels.tobytes(), where
+                assert anc[r] == m and types[r] == x, where
+                got = K.arg_state(*args, 4 + r)
+                assert got[0].dtype == np.int64 and got[1].dtype == np.int64, where
+                assert got[0].tobytes() == frag_mask.tobytes(), where
+                assert got[1].tobytes() == frag_owner.tobytes() and got[2] == m, where
+                most_read = max(most_read, read)
+    assert most_read > block  # some replicate read past its first block
+
+
+def test_arg_kernels_use_all_64_mask_bits():
+    # 64 sites put the last site on the int64 sign bit
+    d = RecombinationDistribution.single_crossover(np.linspace(0.01, 0.05, 63))
+    masks, probs = d.event_arrays()
+    for N in (2, 1000):
+        rows, anc = K.arg_batch(masks, probs, d.mu, 64, N, 3.0, 8, 10, rep_lo=2)
+        for r in range(10):
+            labels, m, frag_mask, frag_owner, _ = _arg_reference(d, N, 3.0, 8, 2 + r)
+            assert (frag_mask < 0).any()
+            assert rows[r].tobytes() == labels.tobytes() and anc[r] == m
+            got = K.arg_state(masks, probs, d.mu, 64, N, 3.0, 8, 2 + r)
+            assert got[0].tobytes() == frag_mask.tobytes()
+            assert got[1].tobytes() == frag_owner.tobytes()
+
+
+def test_backward_kernels_refuse_what_they_cannot_walk():
+    masks, probs = np.array([1], np.int64), np.array([0.5])
+    z0, places, sizes = np.array([3, 0, 1, 0]), np.array([2, 1]), np.array([2, 2])
+    with pytest.raises(DomainError):
+        K.arg_batch(masks, probs, 1.0, 65, 10, 1.0, 0, 1)
+    with pytest.raises(DomainError):
+        K.arg_state(masks, probs, 1.0, 65, 10, 1.0, 0)
+    with pytest.raises(DomainError):
+        K.reconstruct_batch(masks, probs, 1.0, 65, 4, 1.0, 0, 1, z0, places, sizes)
+    # founders are drawn from the N individuals the counts hold
+    with pytest.raises(DomainError):
+        K.reconstruct_batch(masks, probs, 1.0, 2, 5, 1.0, 0, 1, z0, places, sizes)
+    assert K.reconstruct_batch(masks, probs, 1.0, 2, 4, 1.0, 0, 3, z0, places, sizes).shape == (3,)
 
 
 # ---------------------------------------------------------------------------

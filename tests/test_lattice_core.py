@@ -140,15 +140,31 @@ def reference_theta(d):
     return table_of(d.ground)
 
 
+def reachable_closure(q, v):
+    """States reachable from the support of v along Q's nonzero entries."""
+    edges = q != 0.0
+    seen = frontier = v != 0.0
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return np.flatnonzero(seen)
+
+
 def reference_expm_action(q, v, t):
-    """v @ e^{tQ} by uniformization with a dense P = I + Q/lambda."""
+    """v @ e^{tQ} by uniformization with a dense P = I + Q/lambda.
+
+    Every term v P^k is zero off the states reachable from v's support, so
+    P is restricted to them (lambda still comes from all of Q); a
+    single-crossover model reaches only its interval partitions.
+    """
     lam = float(-q.diagonal().min())
     if not lam * t > 0.0:
         return v.copy()
-    p = np.eye(q.shape[0]) + q / lam
+    live = reachable_closure(q, v)
+    p = np.eye(live.shape[0]) + q[np.ix_(live, live)] / lam
     n_chunks = max(1, int(math.ceil(lam * t / 500.0)))
     dt = t / n_chunks
-    out = v.astype(float).copy()
+    out = v[live].astype(float)
     for _ in range(n_chunks):
         weights = _poisson_weights(lam * dt)
         term = out
@@ -157,7 +173,9 @@ def reference_expm_action(q, v, t):
             term = term @ p
             acc = acc + weight * term
         out = acc
-    return out
+    full = np.zeros(v.shape[0])
+    full[live] = out
+    return full
 
 
 def general_model(n, seed):

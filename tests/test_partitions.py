@@ -7,6 +7,7 @@ small site counts.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from recomb import (
@@ -22,6 +23,7 @@ from recomb import (
     refinements,
     two_block_partitions,
 )
+from recomb.partitions import count_label_rows
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -212,6 +214,19 @@ def test_from_labels_groups_sites_by_label():
     ground = (2, 5, 7, 9)
     assert Partition.from_labels([0, 1, 0, 2], ground) == Partition.from_text("2,7|5|9")
     assert Partition.from_labels([3, 3, 3, 3], ground).to_text() == "2,5,7,9"
+
+
+def test_count_label_rows_shares_partitions_across_calls():
+    ground = (2, 5, 7)
+    rows = np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0], [0, 1, 2]], np.int8)
+    first, inverse, counts = count_label_rows(rows, ground)
+    assert [p.to_text() for p in first] == ["2,5,7", "2,7|5", "2|5|7"]
+    assert inverse.tolist() == [1, 0, 1, 2] and counts.tolist() == [1, 2, 1]
+    again, _, _ = count_label_rows(rows[::-1], ground)
+    # one object per row, however many results hold it
+    assert all(a is b for a, b in zip(first, again))
+    other, _, _ = count_label_rows(rows[:1], (1, 2, 3))
+    assert other[0].to_text() == "1,3|2"
 
 
 def test_block_of():
