@@ -15,18 +15,19 @@ Plus the discrete-time transition matrix and its power iteration.
 
 The generator, the discrete matrix and ``PsiTheta`` run on mask states
 (see :mod:`.partitions`) with rates from ``RecombinationDistribution``'s
-split table and its refinement step ``children``.  ``Partition`` objects
-are converted at the edge only: by ``PartitionIndex``, ``exit_rate`` and
-``PsiTheta.psi``/``theta``/``ground_table``.  ``PartitionMatrix`` stores
-sorted COO arrays; the semigroup and discrete routes step row vectors
-through them with one gather and one ``np.bincount`` per step.
+split table, refinement step ``children`` and ``exit_rate``; ``PsiTheta``
+takes each subset's reachable states from its merge tables (one per split).
+``Partition`` objects are converted at the edge only: by ``PartitionIndex``,
+``exit_rate`` and ``PsiTheta.psi``/``theta``/``ground_table``.
+``PartitionMatrix`` stores sorted COO arrays; the semigroup and discrete
+routes step row vectors through them with one gather and one ``np.bincount``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def exit_rate(d: RecombinationDistribution, a: Partition) -> float:
     """Total rate at which some block of `a` splits into two."""
     if a.ground != d.ground:
         raise DomainError(f"{a.to_text()} is not a partition of {d.ground}")
-    return sum(d.split_rate(b) for b in a.blocks)
+    return d.exit_rate(tuple(a.as_masks()))
 
 
 def build_generator(d: RecombinationDistribution, index: PartitionIndex) -> PartitionMatrix:
@@ -294,16 +295,10 @@ def coefficients_semigroup(
 # --------------------------------------------------------------------------
 
 
-def _psi(d: RecombinationDistribution, state: tuple[int, ...]) -> float:
-    """Exit rate of a mask state: the blocks' total split rates, summed."""
-    return sum(sum(rate for _, _, rate in d.split_table(b)[1]) for b in state)
-
-
 class PsiTheta:
     """Exit rates and exponential-mixture weights of the refinement process.
 
-    ``psi_block(u)`` is the total two-way split rate of the site subset u;
-    ``psi(a)`` sums it over the blocks of a partition (of any subset);
+    ``psi(a)`` is the exit rate of a partition (of any site subset);
     ``theta(a, b)`` are the ground-set mixture weights with a refining b.
 
     On a site subset U, each split c = (c1, c2) at rate rho_c and each pair
@@ -312,48 +307,23 @@ class PsiTheta:
     then theta(a, 1_U) = -sum_{b != 1_U} theta(a, b), theta(1_U, 1_U) = 1.
 
     Only partitions reachable from the one-block state through supported
-    splits ever carry weight, so the pairwise-distinct exit-rate requirement
-    is checked over that reachable set (per subset), not the whole lattice.
+    splits ever carry weight.  Each part of a split refines on its own, so
+    the states reachable from 1_U are 1_U and the unions x1 u x2 of states
+    reachable on c1 and c2: one merge table per split maps (x1, x2) to its
+    union and keys the weight loop.  Distinct exit rates are required over
+    that reachable set (per subset), not the whole lattice.
     Partitions outside it may tie freely: their weights are identically zero.
     """
 
-    __slots__ = ("d", "index", "_table")
+    __slots__ = ("d", "index", "_table", "_exit_rates")
 
-    def __init__(self, d: RecombinationDistribution, index: PartitionIndex | None = None):
+    def __init__(self, d: RecombinationDistribution):
         self.d = d
-        self.index = index if index is not None else shared_index(d.ground)
-        self._table = self._build((1 << d.n_sites) - 1, {})
-
-    # -- exit rates -----------------------------------------------------
-
-    def psi_block(self, u: Iterable[int]) -> float:
-        return self.d.split_rate(u)
+        self.index = shared_index(d.ground)
+        self._table, self._exit_rates = self._build((1 << d.n_sites) - 1, {})
 
     def psi(self, a: Partition) -> float:
-        return sum(self.d.split_rate(b) for b in a.blocks)
-
-    def _reachable_exit_rates(self, u: int) -> dict[tuple[int, ...], float]:
-        """Exit rates of the states reachable from (u,); refuses ties."""
-        seen, stack = {(u,)}, [(u,)]
-        while stack:
-            for child, _ in self.d.children(stack.pop()):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        psi = {state: _psi(self.d, state) for state in seen}
-        values = sorted(psi.values())
-        for lo, hi in zip(values, values[1:]):
-            if hi - lo <= _GENERIC_RTOL * max(1.0, abs(hi)):
-                raise NonGenericRatesError(
-                    "exit rates collide on reachable states of sites "
-                    f"{Partition.from_masks([u], self.d.ground).ground} "
-                    f"({lo!r} vs {hi!r}); the exponential-mixture form needs "
-                    "pairwise distinct rates - use the semigroup method for "
-                    "this model"
-                )
-        return psi
-
-    # -- mixture weights ---------------------------------------------------
+        return self.d.exit_rate(tuple(self.d.site_mask(b) for b in a.blocks))
 
     def theta(self, a: Partition, b: Partition) -> float:
         """Ground-set mixture weight; zero unless a refines b."""
@@ -365,21 +335,37 @@ class PsiTheta:
         parts, pos = self.index.partitions, self.index.position
         return {(parts[pos[a]], parts[pos[b]]): v for (a, b), v in self._table.items()}
 
-    def _build(self, u: int, tables: dict) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
-        """Weights on the site subset with mask u, keyed by mask states."""
+    def _build(self, u: int, tables: dict):
+        """Weights on the site subset with mask u, keyed by mask states, and
+        the exit rates of the states reachable from (u,); refuses ties."""
         if u in tables:
             return tables[u]
         one = (u,)
-        splits = self.d.split_table(u)[1]
-        subs = [(self._build(c1, tables), self._build(c2, tables), rate)
-                for c1, c2, rate in splits]
-        psi = self._reachable_exit_rates(u)
+        reachable = {one}
+        subs = []
+        for c1, c2, rate in self.d.split_table(u)[1]:
+            t1, r1 = self._build(c1, tables)
+            t2, r2 = self._build(c2, tables)
+            merge = {(x1, x2): mask_state(x1 + x2) for x1 in r1 for x2 in r2}
+            reachable.update(merge.values())
+            subs.append((t1, t2, rate, merge))
+        psi = {state: self.d.exit_rate(state) for state in reachable}
+        values = sorted(psi.values())
+        for lo, hi in zip(values, values[1:]):
+            if hi - lo <= _GENERIC_RTOL * max(1.0, abs(hi)):
+                raise NonGenericRatesError(
+                    "exit rates collide on reachable states of sites "
+                    f"{Partition.from_masks([u], self.d.ground).ground} "
+                    f"({lo!r} vs {hi!r}); the exponential-mixture form needs "
+                    "pairwise distinct rates - use the semigroup method for "
+                    "this model"
+                )
         acc: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-        for t1, t2, rate in subs:
+        for t1, t2, rate, merge in subs:
             for (a1, b1), v1 in t1.items():
                 f1 = rate * v1
                 for (a2, b2), v2 in t2.items():
-                    key = (mask_state(a1 + a2), mask_state(b1 + b2))
+                    key = (merge[a1, a2], merge[b1, b2])
                     acc[key] = acc.get(key, 0.0) + f1 * v2
         top = psi[one]
         table = {key: v / (top - psi[key[1]]) for key, v in acc.items() if v != 0.0}
@@ -388,8 +374,8 @@ class PsiTheta:
             totals[a] = totals.get(a, 0.0) + v
         table[(one, one)] = 1.0
         table.update({(a, one): -total for a, total in totals.items() if total != 0.0})
-        tables[u] = table
-        return table
+        tables[u] = table, psi
+        return tables[u]
 
 
 def compute_psi_theta(d: RecombinationDistribution) -> PsiTheta:
@@ -410,7 +396,7 @@ def coefficients_recursion(pt: PsiTheta, t: float) -> CoefficientVector:
     decay: dict[tuple[int, ...], float] = {}
     for (a, b), weight in pt._table.items():
         if b not in decay:
-            decay[b] = math.exp(-_psi(pt.d, b) * t)
+            decay[b] = math.exp(-pt._exit_rates[b] * t)
         out[index.position[a]] += weight * decay[b]
     return CoefficientVector(index, out)
 

@@ -358,7 +358,7 @@ def _cmd_crosscheck(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
         "pass": overall <= tolerance,
     }
     _emit(out_dir, "crosscheck.json", _json_text(payload))
-    if overall > tolerance:
+    if not payload["pass"]:
         raise CrosscheckError(
             f"routes disagree by {overall:.3e} > tolerance {tolerance:.3e} "
             f"(pairs: {pair_max})"
@@ -436,6 +436,10 @@ def main(argv=None) -> int:
             )
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
+        if args.tolerance is not None and not 0 <= args.tolerance < np.inf:
+            raise ConfigError(
+                f"--tolerance must be finite and nonnegative, got {args.tolerance}"
+            )
         for a, b in cfg.rates.unseparated_adjacent_pairs():
             log.warning(
                 "sites %d and %d are never separated by any rate; they move "

@@ -182,8 +182,7 @@ def integrate(
     d: RecombinationDistribution, w0: TypeDistribution, t_end: float, dt: float
 ) -> Trajectory:
     """Fixed-step trajectory from 0 to t_end, one recorded state per step."""
-    if t_end < 0:
-        raise DomainError(f"t_end must be nonnegative, got {t_end}")
+    check_time(t_end)
     if t_end > 0 and not 0 < dt <= t_end:
         raise DomainError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
     grid = [0.0]
@@ -209,9 +208,11 @@ def integrate_grid(
     """
     _check_model_space(d, w0)
     _require_dense(w0, "numerical integration")
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     times = [float(t) for t in t_grid]
+    for t in times:
+        check_time(t)
     field = _VectorField(d, w0.space)
     w = w0.to_array()
     if abs(w.sum() - 1.0) > MASS_TOL:

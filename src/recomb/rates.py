@@ -11,9 +11,10 @@ sparse models (e.g. single crossover, n-1 entries) cheap.
 
 The lattice layer works on site bitmasks (bit i: the i-th ground site) and
 mask states (see :mod:`.partitions`): ``split_table`` memoizes the marginal
-rates per subset mask and ``children`` is the refinement step on it.
-``block_split_rates``, ``split_rate`` and ``marginal_rate`` convert their
-site tuples and ``Partition`` objects at the edge and read the same table.
+rates per subset mask, ``children`` is the refinement step on it and
+``exit_rate`` is the one owner of exit rates.  ``block_split_rates``,
+``split_rate`` and ``marginal_rate`` convert site tuples and ``Partition``
+objects at the edge and read the same table.
 """
 
 from __future__ import annotations
@@ -235,9 +236,15 @@ class RecombinationDistribution:
         _, splits = self.split_table(self.site_mask(u))
         return {Partition.from_masks(pair, self.ground): rate for *pair, rate in splits}
 
+    def exit_rate(self, state: tuple[int, ...]) -> float:
+        """Total rate at which some block of a mask state splits into two;
+        ``split_rate``, ``ancestral.exit_rate`` and ``PsiTheta.psi`` wrap it."""
+        per_block = (sum(rate for _, _, rate in self.split_table(b)[1]) for b in state)
+        return float(sum(per_block))
+
     def split_rate(self, u: Iterable[int]) -> float:
         """Total rate at which the subset u is separated into two parts."""
-        return sum(rate for _, _, rate in self.split_table(self.site_mask(u))[1])
+        return self.exit_rate((self.site_mask(u),))
 
     # -- structure tests ---------------------------------------------------
 

@@ -469,6 +469,21 @@ def test_crosscheck_breach_exits_4_but_writes_report(configs, tmp_path):
     assert payload["tolerance"] == 1e-30
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-12"])
+def test_crosscheck_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
+    configs, tmp_path, tolerance
+):
+    out = tmp_path / "cc"
+    res = run_cli(
+        "crosscheck", "--config", configs["cross"], "--out", str(out),
+        f"--tolerance={tolerance}",
+    )
+    assert res.returncode == 2
+    assert "--tolerance must be finite and nonnegative" in res.stderr
+    assert "crosscheck ok" not in res.stdout
+    assert not out.exists()
+
+
 def test_crosscheck_tied_cut_model_uses_product_route(configs, tmp_path):
     out = tmp_path / "cc"
     res = run_cli("crosscheck", "--config", configs["tied_sc"], "--out", str(out))

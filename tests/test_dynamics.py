@@ -197,6 +197,24 @@ def test_exact_routes_refuse_bad_times(model3, w0_3, t):
         check_duality(model3, w0_3, P("1|2,3"), t)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+def test_ode_route_refuses_bad_times(model3, w0_3, t):
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        integrate(model3, w0_3, t, 0.1)
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        integrate_grid(model3, w0_3, [0.0, 0.5, t], 0.1)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.1])
+def test_ode_route_refuses_bad_steps(model3, w0_3, dt):
+    with pytest.raises(DomainError, match="dt must"):
+        integrate(model3, w0_3, 0.0, dt)
+    with pytest.raises(DomainError, match="dt must"):
+        integrate(model3, w0_3, 1.0, dt)
+    with pytest.raises(DomainError, match="dt must"):
+        integrate_grid(model3, w0_3, [0.0, 1.0], dt)
+
+
 def test_mixture_ground_mismatch(model2, w0_3):
     from recomb import build_generator, coefficients_semigroup
 

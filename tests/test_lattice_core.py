@@ -7,7 +7,9 @@ mixture-weight constructions as first written on ``Partition`` objects
 split table; the generator and the discrete matrix must match the
 references bitwise, the weights to rounding.  ``reference_expm_action`` is
 the uniformization as first written on a dense generator; the sparse one
-must match it to rounding.
+must match it to rounding.  ``reference_reachable_exit_rates`` walks
+``children`` depth-first from the one-block state; the reachable states and
+exit rates ``PsiTheta`` keeps must equal it bitwise.
 """
 
 import itertools
@@ -140,6 +142,23 @@ def reference_theta(d):
     return table_of(d.ground)
 
 
+def reference_reachable_exit_rates(d):
+    """Exit rates of the mask states reachable from the one-block state,
+    by a depth-first walk over ``children``, each the blocks' split-table
+    rates summed."""
+    one = ((1 << d.n_sites) - 1,)
+    seen, stack = {one}, [one]
+    while stack:
+        for child, _ in d.children(stack.pop()):
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return {
+        state: sum(sum(rate for _, _, rate in d.split_table(b)[1]) for b in state)
+        for state in seen
+    }
+
+
 def reachable_closure(q, v):
     """States reachable from the support of v along Q's nonzero entries."""
     edges = q != 0.0
@@ -236,6 +255,26 @@ def test_theta_tables_match_the_reference(d):
     assert set(got) == set(want)
     scale = max(1.0, max(abs(v) for v in want.values()))
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        general_model(3, 3),
+        general_model(5, 5),
+        general_model(6, 6),
+        crossover_model(6, 6),
+        crossover_model(8, 8),
+    ],
+    ids=["general3", "general5", "general6", "crossover6", "crossover8"],
+)
+def test_reachable_exit_rates_are_bitwise_the_reference(d):
+    got = compute_psi_theta(d)._exit_rates
+    want = reference_reachable_exit_rates(d)
+    assert set(got) == set(want)
+    assert all(got[s].hex() == float(want[s]).hex() for s in want)
+    if d.is_single_crossover():
+        assert len(got) == 2 ** (d.n_sites - 1)
 
 
 def test_split_table_is_bitwise_the_restricted_support():
