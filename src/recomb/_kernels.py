@@ -59,7 +59,7 @@ from bisect import bisect_right, insort
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 
 def _entry(fn):
@@ -146,7 +146,9 @@ def splitmix_raw(seed, count: int) -> np.ndarray:
 @_entry
 def stream_uniforms(seed, replicate: int, count: int) -> np.ndarray:
     """The uniforms replicate `replicate` of a batch would draw first."""
-    return _block_uniforms(_stream_state(_seed_u64(seed), replicate), 0, int(count))
+    replicate = check_count(replicate, "replicate", minimum=0)
+    count = check_count(count, "uniform count", minimum=0)
+    return _block_uniforms(_stream_state(_seed_u64(seed), replicate), 0, count)
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NonGenericRatesError, check_time
+from .errors import DomainError, NonGenericRatesError, check_count, check_time
 from .partitions import (
     Partition,
     PartitionIndex,
@@ -462,6 +462,7 @@ def partitioning_history(
 ) -> list[tuple[float, Partition]]:
     """Event times and states of one sampled refinement path."""
     _check_start(d, start, t)
+    replicate = check_count(replicate, "replicate", minimum=0)
     masks, probs = d.event_arrays()
     times, block_sets = _kernels.partition_history(
         masks, probs * d.mu, d.n_sites, start.as_masks(), t, seed, replicate
@@ -482,8 +483,7 @@ def partition_frequencies(
     start: Partition | None = None,
 ) -> dict[Partition, int]:
     """Monte Carlo sample counts of the refinement process at time t."""
-    if n_replicates < 1:
-        raise DomainError("need at least one replicate")
+    n_replicates = check_count(n_replicates, "replicate count")
     if start is None:
         start = Partition.one_block(d.ground)
     _check_start(d, start, t)
@@ -544,11 +544,10 @@ def coefficients_discrete(
     m: PartitionMatrix, t: int, start: Partition | None = None
 ) -> CoefficientVector:
     """Row `start` of M^t by iterated sparse vector-matrix steps."""
-    if not (t >= 0 and float(t).is_integer()):
-        raise DomainError(f"generation count must be a nonnegative integer, got {t}")
+    t = check_count(t, "generation count", minimum=0)
     index = m.index
     v = np.zeros(len(index))
     v[index.index_of(index.one if start is None else start)] = 1.0
-    for _ in range(int(t)):
+    for _ in range(t):
         v = np.bincount(m.cols, weights=v[m.rows] * m.data, minlength=len(index))
     return CoefficientVector(index, v)

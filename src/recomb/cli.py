@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import _kernels
 from .ancestral import CoefficientVector
 from .config import MODES, ModelConfig
 from .dynamics import (
@@ -45,7 +44,7 @@ from .errors import (
     RecombError,
 )
 from .measure import TypeSpace
-from .moran import PopulationState, lln_report
+from .moran import PopulationState, arg_replicates, lln_report, simulate_moran_grid
 from .partitions import count_label_rows
 
 log = logging.getLogger("recomb")
@@ -203,10 +202,7 @@ def _cmd_solve_exact(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
 
 def _cmd_solve_discrete(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     cfg.require("space", "initial", "t")
-    t = cfg.run.t
-    if int(t) != t:
-        raise ConfigError(f"config.run.t: discrete time needs an integer, got {t}")
-    traj = iterate_discrete(cfg.rates, cfg.initial, int(t))
+    traj = iterate_discrete(cfg.rates, cfg.initial, cfg.run.t)
     _write_trajectory(out_dir, fmt, traj)
 
 
@@ -225,15 +221,10 @@ def _cmd_simulate_moran(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     z0 = PopulationState.from_distribution(
         cfg.initial, cfg.run.n_individuals, mode="round"
     )
-    d = cfg.rates
     space = z0.space
-    masks, probs = d.event_arrays()
 
     def run(lo: int, count: int) -> np.ndarray:
-        return _kernels.moran_batch(
-            z0.counts, space.places, space.alphabet_sizes, masks, probs, d.mu, times,
-            seed, count, rep_lo=lo,
-        )
+        return simulate_moran_grid(cfg.rates, z0, times, seed, count, first_replicate=lo)
 
     counts = np.concatenate(_run_chunked(run, replicates, args.jobs), axis=0)
     if fmt == "csv":
@@ -264,15 +255,10 @@ def _cmd_simulate_arg(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
     cfg.require("t", "n_individuals")
     seed = _resolve_seed(cfg, args)
     replicates = cfg.run.replicates or 1
-    d = cfg.rates
-    N = cfg.run.n_individuals
-    t_end = cfg.run.t
-    masks, probs = d.event_arrays()
+    d, N = cfg.rates, cfg.run.n_individuals
 
     def run(lo: int, count: int):
-        return _kernels.arg_batch(
-            masks, probs, d.mu, d.n_sites, N, t_end, seed, count, rep_lo=lo
-        )
+        return arg_replicates(d, N, cfg.run.t, seed, count, first_replicate=lo)
 
     pieces = _run_chunked(run, replicates, args.jobs)
     rows = np.concatenate([p[0] for p in pieces], axis=0)

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
+from .dynamics import EXACT_METHODS
 from .errors import ConfigError, DomainError, SizeCapError, config_real
 from .measure import TypeDistribution, TypeSpace
 from .rates import RecombinationDistribution
@@ -97,7 +98,7 @@ class RunSpec:
             if spec.dt <= 0:
                 raise ConfigError(f"{path}.dt: must be positive, got {spec.dt}")
         if "method" in data:
-            if data["method"] not in ("semigroup", "recursion", "single_crossover"):
+            if data["method"] not in EXACT_METHODS:
                 raise ConfigError(
                     f"{path}.method: unknown method {data['method']!r}"
                 )

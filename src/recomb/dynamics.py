@@ -29,7 +29,9 @@ from .ancestral import (
     coefficients_single_crossover,
     compute_psi_theta,
 )
-from .errors import DomainError, MassDriftError, SizeCapError, check_time
+from .errors import (
+    DomainError, MassDriftError, SizeCapError, check_count, check_grid, check_time,
+)
 from .measure import TypeDistribution, TypeSpace
 from .partitions import Partition, shared_index
 from .rates import RecombinationDistribution
@@ -48,12 +50,7 @@ class Trajectory:
     def __init__(self, times: Sequence[float], states: Sequence[TypeDistribution]):
         if len(times) != len(states):
             raise DomainError("times and states must align")
-        if not times or times[0] != 0:
-            raise DomainError("trajectories start at time 0")
-        for earlier, later in zip(times, times[1:]):
-            if not later > earlier:
-                raise DomainError("times must be strictly increasing")
-        self.times = list(times)
+        self.times = check_grid(times, from_zero=True)
         self.states = list(states)
 
     @property
@@ -203,16 +200,15 @@ def integrate_grid(
 ) -> Trajectory:
     """Like :func:`integrate` but records only the listed times.
 
-    The grid must start at 0 and increase; integration still proceeds in
-    steps of dt within each span (with a shorter final step per span).
+    The grid must start at 0 and increase, and is checked before any
+    step; integration still proceeds in steps of dt within each span (with
+    a shorter final step per span).
     """
     _check_model_space(d, w0)
     _require_dense(w0, "numerical integration")
     if not 0 < dt < np.inf:
         raise DomainError(f"dt must be positive and finite, got {dt}")
-    times = [float(t) for t in t_grid]
-    for t in times:
-        check_time(t)
+    times = check_grid(t_grid, from_zero=True)
     field = _VectorField(d, w0.space)
     w = w0.to_array()
     if abs(w.sum() - 1.0) > MASS_TOL:
@@ -292,14 +288,13 @@ def iterate_discrete(
         raise DomainError(
             "discrete-time iteration needs a probability-style model, not rates"
         )
-    if not (t >= 0 and float(t).is_integer()):
-        raise DomainError(f"generation count must be a nonnegative integer, got {t}")
+    t = check_count(t, "generation count", minimum=0)
     entries = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
     residual = d.residual_probability
-    times = [float(s) for s in range(int(t) + 1)]
+    times = [float(s) for s in range(t + 1)]
     states = [w0]
     w = w0
-    for _ in range(int(t)):
+    for _ in range(t):
         if w.is_dense:
             acc = residual * w._dense
             for a, r in entries:

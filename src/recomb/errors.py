@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, the config-number rule and
-the time rule.
+"""Exception hierarchy shared by all modules, and one owner for each
+argument rule: config numbers, times, time grids and whole-number counts.
 
 The CLI maps these onto stable exit codes: configuration problems exit 2,
 numerical preconditions exit 3, cross-validation tolerance breaches exit 4.
@@ -8,6 +8,7 @@ numerical preconditions exit 3, cross-validation tolerance breaches exit 4.
 from __future__ import annotations
 
 import math
+from numbers import Integral, Real
 
 
 class RecombError(Exception):
@@ -68,3 +69,27 @@ def check_time(t: float) -> None:
     """
     if not 0 <= t < math.inf:
         raise DomainError(f"time must be finite and nonnegative, got {t}")
+
+
+def check_grid(t_grid, from_zero: bool = False) -> list[float]:
+    """The times of `t_grid` as floats, else a DomainError: nonempty, each
+    passing check_time, strictly increasing and, with from_zero, from 0."""
+    times = [float(t) for t in t_grid]
+    for t in times:
+        check_time(t)
+    if not times or any(b <= a for a, b in zip(times, times[1:])):
+        raise DomainError(f"times must be nonempty and strictly increasing, got {times}")
+    if from_zero and times[0] != 0:
+        raise DomainError(f"trajectories start at time 0, got {times[0]}")
+    return times
+
+
+def check_count(value, what: str, minimum: int = 1) -> int:
+    """`value` as an int, else a DomainError: a whole number of at least
+    `minimum` (100.0 and numpy integers pass; bools, NaN and inf do not)."""
+    real = isinstance(value, (int, Real)) and not isinstance(value, bool)
+    if not (real and (isinstance(value, (int, Integral)) or float(value).is_integer())):
+        raise DomainError(f"{what} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{what} must be >= {minimum}, got {value!r}")
+    return int(value)

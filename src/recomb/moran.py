@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, SizeCapError, check_time
+from .errors import DomainError, SizeCapError, check_count, check_grid, check_time
 from .measure import TypeDistribution, TypeSpace
 from .partitions import Partition, count_label_rows
 from .rates import RecombinationDistribution
@@ -40,10 +40,7 @@ class PopulationState:
         if isinstance(counts, Mapping):
             arr = np.zeros(space.cardinality, dtype=np.int64)
             for t, c in counts.items():
-                c = int(c)
-                if c < 0:
-                    raise DomainError(f"negative count {c} for type {t}")
-                arr[space.encode(t)] += c
+                arr[space.encode(t)] += check_count(c, f"count of type {t}", minimum=0)
         else:
             arr = np.asarray(counts, dtype=np.int64).copy()
             if arr.shape != (space.cardinality,):
@@ -69,8 +66,7 @@ class PopulationState:
         mode 'multinomial' draws N individuals iid from w with the package
         RNG, reproducible from the seed.
         """
-        if N < 1:
-            raise DomainError(f"population size must be >= 1, got {N}")
+        N = check_count(N, "population size")
         if not w.space.dense:
             raise SizeCapError("population initialization needs a dense space")
         weights = w.to_array()
@@ -132,11 +128,7 @@ def simulate_moran(
     d: RecombinationDistribution, z0: PopulationState, t_end: float, seed: int
 ) -> PopulationState:
     """One forward run; population size is conserved by construction."""
-    check_time(t_end)
-    masks, probs, places, sizes = _model_arrays(d, z0.space)
-    out = _kernels.moran_batch(
-        z0.counts, places, sizes, masks, probs, d.mu, [t_end], seed, 1
-    )
+    out = simulate_moran_grid(d, z0, [t_end], seed)
     return PopulationState(z0.space, out[0, 0])
 
 
@@ -147,20 +139,18 @@ def simulate_moran_grid(
     seed: int,
     replicates: int = 1,
     multinomial_from: TypeDistribution | None = None,
+    first_replicate: int = 0,
 ) -> np.ndarray:
     """Counts at each grid time for each replicate: (reps, times, types).
 
-    Replicate r draws from a stream keyed by (seed, r).  With multinomial_from,
+    Replicate r draws from a stream keyed by (seed, r); the batch holds
+    replicates first_replicate, first_replicate + 1, ...  With multinomial_from,
     every replicate redraws its initial population from that distribution
     (size N of z0); otherwise all replicates start exactly at z0.
     """
-    times = [float(t) for t in t_grid]
-    for t in times:
-        check_time(t)
-    if not times or any(b <= a for a, b in zip(times, times[1:])):
-        raise DomainError("time grid must be nonempty and strictly increasing")
-    if replicates < 1:
-        raise DomainError("need at least one replicate")
+    times = check_grid(t_grid)
+    replicates = check_count(replicates, "replicate count")
+    first_replicate = check_count(first_replicate, "first replicate", minimum=0)
     masks, probs, places, sizes = _model_arrays(d, z0.space)
     w0 = None
     if multinomial_from is not None:
@@ -173,7 +163,7 @@ def simulate_moran_grid(
         w0 = w0 / total
     return _kernels.moran_batch(
         z0.counts, places, sizes, masks, probs, d.mu, times, seed, replicates,
-        multinomial_from=w0,
+        rep_lo=first_replicate, multinomial_from=w0,
     )
 
 
@@ -186,8 +176,7 @@ def moran_event_counts(
     n_events estimates the per-event transition law out of z0 for
     comparison against the exact jump rates.
     """
-    if n_events < 1:
-        raise DomainError("need at least one event")
+    n_events = check_count(n_events, "event count")
     masks, probs, places, sizes = _model_arrays(d, z0.space)
     return _kernels.moran_event_pairs(
         z0.counts, places, sizes, masks, probs, seed, n_events
@@ -235,11 +224,10 @@ def lln_report(
     """
     from .dynamics import solve_exact
 
-    sizes_list = [int(n) for n in population_sizes]
-    if not sizes_list or any(n < 1 for n in sizes_list):
-        raise DomainError("population sizes must be positive")
-    if replicates < 1:
-        raise DomainError("need at least one replicate")
+    sizes_list = [check_count(n, "population size") for n in population_sizes]
+    if not sizes_list:
+        raise DomainError("need at least one population size")
+    replicates = check_count(replicates, "replicate count")
     check_time(t)
     _require_prob(w0)
     target = solve_exact(d, w0, t, method="semigroup").to_array()
@@ -332,8 +320,8 @@ def simulate_arg(
     d: RecombinationDistribution, N: int, t_end: float, seed: int, replicate: int = 0
 ) -> AncestralState:
     """One backward run from a single individual carrying every site."""
-    if N < 1:
-        raise DomainError(f"population size must be >= 1, got {N}")
+    N = check_count(N, "population size")
+    replicate = check_count(replicate, "replicate", minimum=0)
     check_time(t_end)
     masks, probs = d.event_arrays()
     frag_mask, frag_owner, m = _kernels.arg_state(
@@ -356,14 +344,18 @@ def simulate_arg(
 
 
 def arg_replicates(
-    d: RecombinationDistribution, N: int, t_end: float, seed: int, n_replicates: int
+    d: RecombinationDistribution, N: int, t_end: float, seed: int, n_replicates: int,
+    first_replicate: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch of backward runs: per-replicate site labels and ancestor counts."""
-    if N < 1 or n_replicates < 1:
-        raise DomainError("population size and replicate count must be >= 1")
+    """Backward runs first_replicate, ...: per-replicate site labels and ancestor counts."""
+    N = check_count(N, "population size")
+    n_replicates = check_count(n_replicates, "replicate count")
+    first_replicate = check_count(first_replicate, "first replicate", minimum=0)
     check_time(t_end)
     masks, probs = d.event_arrays()
-    return _kernels.arg_batch(masks, probs, d.mu, d.n_sites, N, t_end, seed, n_replicates)
+    return _kernels.arg_batch(
+        masks, probs, d.mu, d.n_sites, N, t_end, seed, n_replicates, rep_lo=first_replicate
+    )
 
 
 def arg_partition_frequencies(
@@ -393,8 +385,7 @@ def reconstruct_replicates(
 ) -> np.ndarray:
     """Flat type indices of n_replicates independent reconstructions."""
     check_time(t)
-    if n_replicates < 1:
-        raise DomainError("need at least one replicate")
+    n_replicates = check_count(n_replicates, "replicate count")
     masks, probs, places, sizes = _model_arrays(d, z0.space)
     return _kernels.reconstruct_batch(
         masks, probs, d.mu, d.n_sites, z0.N, t, seed, n_replicates,

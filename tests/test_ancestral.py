@@ -20,6 +20,7 @@ from recomb import (
     PartitionIndex,
     PartitionMatrix,
     RecombinationDistribution,
+    build_discrete_matrix,
     build_generator,
     coefficients_discrete,
     coefficients_recursion,
@@ -403,6 +404,37 @@ def test_sampler_beyond_the_lattice_cap():
     freq = partition_frequencies(d, 0.8, 2000, seed=5)
     assert sum(freq.values()) == 2000
     assert all(p.is_interval() for p in freq)
+
+
+# front door -> (the least valid count, a call passing the count v)
+COUNT_CALLS = {
+    "partition_frequencies-n_replicates": (
+        1, lambda d, v: partition_frequencies(d, 1.0, v, seed=0)
+    ),
+    "partitioning_history-replicate": (
+        0, lambda d, v: partitioning_history(d, Partition.one_block(d.ground), 1.0, 0, v)
+    ),
+    "coefficients_discrete-t": (
+        0,
+        lambda d, v: coefficients_discrete(
+            build_discrete_matrix(d, PartitionIndex(d.ground)), v
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "nan", "below"])
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_counts_must_be_whole(model3, monkeypatch, name, bad):
+    def reached(*args, **kwargs):
+        raise AssertionError("a kernel ran before the arguments were checked")
+
+    for kernel in ("partition_batch", "partition_history"):
+        monkeypatch.setattr(_kernels, kernel, reached)
+    minimum, call = COUNT_CALLS[name]
+    value = {"fraction": 2.5, "bool": True, "nan": float("nan"), "below": minimum - 1}[bad]
+    with pytest.raises(DomainError, match="whole number|>= "):
+        call(model3, value)
 
 
 def test_sampler_validation(model3):

@@ -358,6 +358,17 @@ def test_solve_discrete_hand_values(configs, tmp_path):
     assert [float(v) for v in rows[1][1:]] == [0.375, 0.125, 0.125, 0.375]
 
 
+def test_solve_discrete_refuses_a_fractional_generation_count(configs, tmp_path):
+    # the count rule lives in the library: a domain error, exit 3
+    cfg = json.loads(open(configs["disc"]).read())
+    cfg["run"]["t"] = 2.5
+    path = tmp_path / "disc_frac.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli("solve-discrete", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert "generation count must be a whole number, got 2.5" in res.stderr
+
+
 def test_format_resolution_order(configs, tmp_path):
     from_config = tmp_path / "a"
     res = run_cli("solve-exact", "--config", configs["model_json_out"], "--out", str(from_config))

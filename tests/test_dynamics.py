@@ -12,6 +12,7 @@ from recomb import (
     PartitionIndex,
     RecombinationDistribution,
     SizeCapError,
+    Trajectory,
     TypeDistribution,
     TypeSpace,
     build_discrete_matrix,
@@ -30,6 +31,7 @@ from recomb import (
     rhs,
     solve_exact,
 )
+from recomb import dynamics
 
 P = Partition.from_text
 
@@ -205,6 +207,22 @@ def test_ode_route_refuses_bad_times(model3, w0_3, t):
         integrate_grid(model3, w0_3, [0.0, 0.5, t], 0.1)
 
 
+@pytest.mark.parametrize(
+    "grid", [[0.5, 20.0], [0.0, 20.0, 10.0], [0.0, 20.0, 20.0], [], [0.0, float("inf")]]
+)
+def test_ode_grid_is_refused_before_any_step(model3, w0_3, monkeypatch, grid):
+    # refused before the first span: a span of length 20 at dt = 1e-3 takes
+    # seconds to integrate
+    def stepped(*args, **kwargs):
+        raise AssertionError("integrated before the grid was checked")
+
+    monkeypatch.setattr(dynamics, "_rk4_span", stepped)
+    with pytest.raises(DomainError):
+        integrate_grid(model3, w0_3, grid, 1e-3)
+    with pytest.raises(DomainError):
+        Trajectory(grid, [w0_3] * len(grid))
+
+
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.1])
 def test_ode_route_refuses_bad_steps(model3, w0_3, dt):
     with pytest.raises(DomainError, match="dt must"):
@@ -272,9 +290,15 @@ def test_discrete_validation(model2, model3, w0_2, w0_3):
         iterate_discrete(model3, w0_3, 1.5)
     with pytest.raises(DomainError):
         iterate_discrete(model3, w0_2, 2)
-    for t in (float("nan"), float("inf")):
+    for t in (float("nan"), float("inf"), True):
         with pytest.raises(DomainError):
             iterate_discrete(model3, w0_3, t)
+    # a whole float or a numpy integer counts generations like an int
+    assert iterate_discrete(model3, w0_3, 2.0).times == [0.0, 1.0, 2.0]
+    assert np.array_equal(
+        iterate_discrete(model3, w0_3, np.int64(2)).final.to_array(),
+        iterate_discrete(model3, w0_3, 2).final.to_array(),
+    )
 
 
 # ---------------------------------------------------------------------------

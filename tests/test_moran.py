@@ -27,7 +27,9 @@ from recomb import (
     simulate_moran,
     simulate_moran_grid,
     solve_exact,
+    stream_uniforms,
 )
+from recomb import _kernels
 
 P = Partition.from_text
 
@@ -157,6 +159,107 @@ def test_samplers_refuse_non_finite_times(model3, w0_3, name, t):
     z0 = PopulationState.from_distribution(w0_3, 20)
     with pytest.raises(DomainError, match="finite"):
         NON_FINITE_CALLS[name](model3, w0_3, z0, t)
+
+
+# front door -> (the least valid count, a call passing the count v)
+COUNT_CALLS = {
+    "from_distribution-N": (
+        1, lambda d, w, z, v: PopulationState.from_distribution(w, v)
+    ),
+    "PopulationState-count": (
+        0, lambda d, w, z, v: PopulationState(z.space, {(0, 0, 0): v, (1, 1, 1): 1})
+    ),
+    "simulate_moran_grid-replicates": (
+        1, lambda d, w, z, v: simulate_moran_grid(d, z, [0.5], 1, replicates=v)
+    ),
+    "simulate_moran_grid-first_replicate": (
+        0, lambda d, w, z, v: simulate_moran_grid(d, z, [0.5], 1, first_replicate=v)
+    ),
+    "moran_event_counts-n_events": (1, lambda d, w, z, v: moran_event_counts(d, z, v, 1)),
+    "lln_report-population_sizes": (
+        1, lambda d, w, z, v: lln_report(d, w, 0.5, [10, v], 2, seed=1)
+    ),
+    "lln_report-replicates": (1, lambda d, w, z, v: lln_report(d, w, 0.5, [10], v, seed=1)),
+    "simulate_arg-N": (1, lambda d, w, z, v: simulate_arg(d, v, 1.0, seed=1)),
+    "simulate_arg-replicate": (
+        0, lambda d, w, z, v: simulate_arg(d, 20, 1.0, seed=1, replicate=v)
+    ),
+    "arg_replicates-N": (1, lambda d, w, z, v: arg_replicates(d, v, 1.0, 1, 2)),
+    "arg_replicates-n_replicates": (1, lambda d, w, z, v: arg_replicates(d, 20, 1.0, 1, v)),
+    "arg_replicates-first_replicate": (
+        0, lambda d, w, z, v: arg_replicates(d, 20, 1.0, 1, 2, first_replicate=v)
+    ),
+    "arg_partition_frequencies-n_replicates": (
+        1, lambda d, w, z, v: arg_partition_frequencies(d, 20, 1.0, 1, v)
+    ),
+    "reconstruct_replicates-n_replicates": (
+        1, lambda d, w, z, v: reconstruct_replicates(d, z, 1.0, 1, v)
+    ),
+    "stream_uniforms-replicate": (0, lambda d, w, z, v: stream_uniforms(1, v, 4)),
+    "stream_uniforms-count": (0, lambda d, w, z, v: stream_uniforms(1, 0, v)),
+}
+
+
+@pytest.fixture()
+def no_sampler_kernels(monkeypatch):
+    """Make every sampler kernel fail if it is reached."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a kernel ran before the arguments were checked")
+
+    for name in ("moran_batch", "moran_tv_batch", "moran_event_pairs", "arg_batch",
+                 "arg_state", "reconstruct_batch"):
+        monkeypatch.setattr(_kernels, name, reached)
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "nan", "below"])
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_samplers_refuse_counts_that_are_not_whole(
+    model3, w0_3, no_sampler_kernels, name, bad
+):
+    # refused before any kernel runs, never truncated to a smaller count
+    minimum, call = COUNT_CALLS[name]
+    value = {"fraction": 2.5, "bool": True, "nan": math.nan, "below": minimum - 1}[bad]
+    z0 = PopulationState(TypeSpace([2, 2, 2]), {(0, 0, 0): 12, (1, 1, 1): 8})
+    with pytest.raises(DomainError, match="whole number|>= "):
+        call(model3, w0_3, z0, value)
+
+
+def test_samplers_accept_whole_floats_and_numpy_integers(model3, w0_3):
+    rep = lln_report(model3, w0_3, 0.5, [np.int64(10), 40.0], 3.0, seed=2)
+    assert rep.population_sizes == [10, 40]
+    assert all(type(n) is int for n in rep.population_sizes)
+    assert rep.to_dict() == lln_report(model3, w0_3, 0.5, [10, 40], 3, seed=2).to_dict()
+    z0 = PopulationState.from_distribution(w0_3, 20.0)
+    assert z0 == PopulationState.from_distribution(w0_3, np.int32(20))
+    assert np.array_equal(
+        simulate_moran_grid(model3, z0, [0.5], 3, replicates=np.int64(2), first_replicate=1.0),
+        simulate_moran_grid(model3, z0, [0.5], 3, replicates=2, first_replicate=1),
+    )
+    assert np.array_equal(
+        arg_replicates(model3, 20.0, 1.0, 3, np.int64(4))[0],
+        arg_replicates(model3, 20, 1.0, 3, 4)[0],
+    )
+
+
+@pytest.mark.parametrize("split", [1, 3, 5])
+def test_batches_split_by_first_replicate_concatenate_to_the_whole(
+    model3, w0_3, split
+):
+    z0 = PopulationState.from_distribution(w0_3, 30)
+    grid = [0.25, 1.0]
+    for kwargs in ({}, {"multinomial_from": w0_3}):
+        whole = simulate_moran_grid(model3, z0, grid, 5, replicates=6, **kwargs)
+        head = simulate_moran_grid(model3, z0, grid, 5, replicates=split, **kwargs)
+        tail = simulate_moran_grid(
+            model3, z0, grid, 5, replicates=6 - split, first_replicate=split, **kwargs
+        )
+        assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
+    rows, ancestors = arg_replicates(model3, 40, 1.5, 5, 6)
+    head = arg_replicates(model3, 40, 1.5, 5, split)
+    tail = arg_replicates(model3, 40, 1.5, 5, 6 - split, first_replicate=split)
+    assert np.concatenate([head[0], tail[0]]).tobytes() == rows.tobytes()
+    assert np.concatenate([head[1], tail[1]]).tobytes() == ancestors.tobytes()
 
 
 def test_partition_sampler_runs_to_singletons_at_infinite_time(model3):
