@@ -59,7 +59,7 @@ from bisect import bisect_right, insort
 
 import numpy as np
 
-from .errors import DomainError, check_count
+from .errors import LAST_REPLICATE, DomainError, check_count
 
 
 def _entry(fn):
@@ -146,7 +146,7 @@ def splitmix_raw(seed, count: int) -> np.ndarray:
 @_entry
 def stream_uniforms(seed, replicate: int, count: int) -> np.ndarray:
     """The uniforms replicate `replicate` of a batch would draw first."""
-    replicate = check_count(replicate, "replicate", minimum=0)
+    replicate = check_count(replicate, "replicate", minimum=0, maximum=LAST_REPLICATE)
     count = check_count(count, "uniform count", minimum=0)
     return _block_uniforms(_stream_state(_seed_u64(seed), replicate), 0, count)
 
@@ -797,22 +797,26 @@ def reconstruct_batch(
 # --------------------------------------------------------------------------
 
 
-def rhs_dense(w, idx1, idx2, k1s, k2s, rates):
-    """Sum of rate * (blockwise product measure - w) over the entries.
+def rhs_dense(w, idx1, idx2, rates):
+    """Sum of rate * (blockwise product measure - w) over the events.
 
-    idx1/idx2 map each flat type index to its block-1/block-2 marginal
-    index for each entry (precomputed by the caller); block marginals are
-    single bincount passes.
+    Row e of idx1/idx2 maps each flat type index to its block-1/block-2
+    marginal bin for event e, each event's bins placed after those of the
+    events before it (precomputed by the caller), so one bincount per
+    block side builds every event's marginal.  Bitwise equal to a
+    per-event loop: each bin adds its types in index order, and the event
+    rows are summed in event order starting from zero.
     """
-    out = np.zeros_like(w)
     mass = w.sum()
     if mass <= 0.0:
-        return out
-    for e in range(len(rates)):
-        m1 = np.bincount(idx1[e], weights=w, minlength=k1s[e])
-        m2 = np.bincount(idx2[e], weights=w, minlength=k2s[e])
-        out += rates[e] * (m1[idx1[e]] * m2[idx2[e]] / mass - w)
-    return out
+        return np.zeros_like(w)
+    tiled = np.tile(w, len(rates))
+    m1 = np.bincount(idx1.ravel(), weights=tiled)
+    m2 = np.bincount(idx2.ravel(), weights=tiled)
+    terms = m1[idx1] * m2[idx2] / mass
+    terms -= w
+    terms *= rates[:, None]
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -852,4 +856,4 @@ def warmup() -> None:
     w = np.full(4, 0.25)
     idx1 = np.array([[0, 0, 1, 1]], np.int64)
     idx2 = np.array([[0, 1, 0, 1]], np.int64)
-    rhs_dense(w, idx1, idx2, np.array([2], np.int64), np.array([2], np.int64), ent_rate)
+    rhs_dense(w, idx1, idx2, ent_rate)

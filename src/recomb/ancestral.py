@@ -32,7 +32,9 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NonGenericRatesError, check_count, check_time
+from .errors import (
+    LAST_REPLICATE, DomainError, NonGenericRatesError, check_count, check_time,
+)
 from .partitions import (
     Partition,
     PartitionIndex,
@@ -462,7 +464,7 @@ def partitioning_history(
 ) -> list[tuple[float, Partition]]:
     """Event times and states of one sampled refinement path."""
     _check_start(d, start, t)
-    replicate = check_count(replicate, "replicate", minimum=0)
+    replicate = check_count(replicate, "replicate", minimum=0, maximum=LAST_REPLICATE)
     masks, probs = d.event_arrays()
     times, block_sets = _kernels.partition_history(
         masks, probs * d.mu, d.n_sites, start.as_masks(), t, seed, replicate
@@ -483,7 +485,7 @@ def partition_frequencies(
     start: Partition | None = None,
 ) -> dict[Partition, int]:
     """Monte Carlo sample counts of the refinement process at time t."""
-    n_replicates = check_count(n_replicates, "replicate count")
+    n_replicates = check_count(n_replicates, "replicate count", maximum=LAST_REPLICATE + 1)
     if start is None:
         start = Partition.one_block(d.ground)
     _check_start(d, start, t)

@@ -104,12 +104,12 @@ def _check_model_space(d: RecombinationDistribution, w: TypeDistribution) -> Non
 class _VectorField:
     """Precomputed flat-index maps for the dense right-hand side.
 
-    For each supported event, idx1/idx2 send a flat type index to the
-    flat indices of its two block-projections, so block marginals and
-    their product are single gather/scatter passes.
+    Row e of idx1/idx2 sends a flat type index to its marginal bin on
+    block 1/block 2 of event e; each event's bins follow the previous
+    event's, so all block marginals of a side are one bincount pass.
     """
 
-    __slots__ = ("space", "rates", "idx1", "idx2", "k1s", "k2s")
+    __slots__ = ("space", "rates", "idx1", "idx2")
 
     def __init__(self, d: RecombinationDistribution, space: TypeSpace):
         if d.ground != space.sites:
@@ -120,25 +120,24 @@ class _VectorField:
         flat = np.arange(K, dtype=np.int64)
         for i in range(space.n_sites):
             digits[i] = (flat // space.places[i]) % space.alphabet_sizes[i]
-        idx1 = np.zeros((max(1, len(entries)), K), dtype=np.int64)
-        idx2 = np.zeros((max(1, len(entries)), K), dtype=np.int64)
-        k1s = np.ones(max(1, len(entries)), dtype=np.int64)
-        k2s = np.ones(max(1, len(entries)), dtype=np.int64)
-        for e, (a, _) in enumerate(entries):
-            for block, idx, ks in ((a.blocks[0], idx1, k1s), (a.blocks[1], idx2, k2s)):
+        idx1 = np.zeros((len(entries), K), dtype=np.int64)
+        idx2 = np.zeros((len(entries), K), dtype=np.int64)
+        for side, idx in enumerate((idx1, idx2)):
+            offset = 0
+            for e, (a, _) in enumerate(entries):
+                block = a.blocks[side]
                 sub = space.subspace(block)
-                for pos, site in enumerate(sorted(block)):
+                idx[e] = offset
+                for pos, site in enumerate(block):
                     idx[e] += digits[site - 1] * sub.places[pos]
-                ks[e] = sub.cardinality
+                offset += sub.cardinality
         self.space = space
         self.rates = np.array([d.mu * r for _, r in entries])
         self.idx1 = idx1
         self.idx2 = idx2
-        self.k1s = k1s
-        self.k2s = k2s
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        return _kernels.rhs_dense(w, self.idx1, self.idx2, self.k1s, self.k2s, self.rates)
+        return _kernels.rhs_dense(w, self.idx1, self.idx2, self.rates)
 
 
 def rhs(d: RecombinationDistribution, w: TypeDistribution) -> SignedIncrement:
@@ -242,15 +241,26 @@ def exact_coefficients(
 def mixture_from_coefficients(
     coefficients: CoefficientVector, w0: TypeDistribution
 ) -> TypeDistribution:
-    """sum_A a(A) * recombine_A(w0), skipping zero-weight partitions."""
+    """sum_A a(A) * recombine_A(w0), skipping zero-weight partitions.
+
+    On a dense space each block's marginal is computed once per call and
+    shared by every partition that has the block.
+    """
     if coefficients.index.ground != w0.space.sites:
         raise DomainError("coefficient index and distribution sites differ")
     if w0.is_dense:
         acc = np.zeros(w0.space.cardinality)
-        for a, weight in coefficients.items():
-            if weight == 0.0:
-                continue
-            acc += weight * w0.product_over_blocks(a)._dense
+        total = w0.mass
+        margs: dict = {}
+        partitions = coefficients.index.partitions
+        weights = coefficients.values
+        for i in np.flatnonzero(weights).tolist():
+            a = partitions[i]
+            if a.n_blocks == 1 or total == 0.0:
+                term = w0._dense
+            else:
+                term = w0._block_product(a, total, margs)
+            acc += float(weights[i]) * term
         return TypeDistribution._from_dense(w0.space, acc)
     acc_d: dict[tuple[int, ...], float] = {}
     for a, weight in coefficients.items():

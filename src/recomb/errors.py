@@ -84,12 +84,20 @@ def check_grid(t_grid, from_zero: bool = False) -> list[float]:
     return times
 
 
-def check_count(value, what: str, minimum: int = 1) -> int:
+#: replicate streams are numbered by unsigned 64-bit integers, so a batch
+#: of replicates ends at this index at the latest.
+LAST_REPLICATE = 2 ** 64 - 1
+
+
+def check_count(value, what: str, minimum: int = 1, maximum: int | None = None) -> int:
     """`value` as an int, else a DomainError: a whole number of at least
-    `minimum` (100.0 and numpy integers pass; bools, NaN and inf do not)."""
+    `minimum` and, if given, at most `maximum` (100.0 and numpy integers
+    pass; bools, NaN and inf do not)."""
     real = isinstance(value, (int, Real)) and not isinstance(value, bool)
     if not (real and (isinstance(value, (int, Integral)) or float(value).is_integer())):
         raise DomainError(f"{what} must be a whole number, got {value!r}")
     if value < minimum:
         raise DomainError(f"{what} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{what} must be <= {maximum}, got {value!r}")
     return int(value)

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, SizeCapError, check_count
 from .partitions import Partition
 
 #: widest product space kept as a dense array (2^20 float64 = 8 MiB).
@@ -30,12 +30,22 @@ class TypeSpace:
     __slots__ = ("alphabet_sizes", "cardinality", "places", "dense")
 
     def __init__(self, alphabet_sizes: Iterable[int]):
-        sizes = tuple(int(s) for s in alphabet_sizes)
+        sizes = tuple(
+            s if type(s) is int and s >= 1 else check_count(s, "alphabet size")
+            for s in alphabet_sizes
+        )
         if not sizes:
             raise DomainError("type space needs at least one site")
-        for s in sizes:
-            if s < 1:
-                raise DomainError(f"alphabet sizes must be >= 1, got {s}")
+        self._set_sizes(sizes)
+
+    @classmethod
+    def _of_whole(cls, sizes: tuple[int, ...]) -> "TypeSpace":
+        """A space from sizes already known to be ints >= 1 (no checks)."""
+        obj = object.__new__(cls)
+        obj._set_sizes(sizes)
+        return obj
+
+    def _set_sizes(self, sizes: tuple[int, ...]) -> None:
         self.alphabet_sizes = sizes
         card = 1
         for s in sizes:
@@ -94,7 +104,7 @@ class TypeSpace:
         for s in ss:
             if not 1 <= s <= self.n_sites:
                 raise DomainError(f"site {s} not in 1..{self.n_sites}")
-        return TypeSpace(self.alphabet_sizes[s - 1] for s in ss)
+        return TypeSpace._of_whole(tuple(self.alphabet_sizes[s - 1] for s in ss))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TypeSpace) and self.alphabet_sizes == other.alphabet_sizes
@@ -254,17 +264,9 @@ class TypeDistribution:
         total = self.mass
         if total == 0.0:
             return self
-        scale = total ** (a.n_blocks - 1)
         if self._dense is not None:
-            nd = np.ones((1,) * self.space.n_sites)
-            for b in a.blocks:
-                marg = self.marginal(b)
-                shape = tuple(
-                    self.space.alphabet_sizes[i] if (i + 1) in b else 1
-                    for i in range(self.space.n_sites)
-                )
-                nd = nd * marg._dense.reshape(shape)
-            return TypeDistribution._from_dense(self.space, nd.ravel() / scale)
+            return TypeDistribution._from_dense(self.space, self._block_product(a, total, {}))
+        scale = total ** (a.n_blocks - 1)
         block_items = []
         for b in a.blocks:
             marg = self.marginal(b)
@@ -279,6 +281,23 @@ class TypeDistribution:
                     buf[site - 1] = letter
             d[tuple(buf)] = w / scale
         return TypeDistribution._from_sparse(self.space, d)
+
+    def _block_product(self, a: Partition, total: float, margs: dict) -> np.ndarray:
+        """Flat dense product of the block marginals of `a` over
+        total^(m-1), for m >= 2 blocks and the nonzero mass `total`.
+
+        `margs` memoizes each block's marginal, shaped to broadcast over
+        the full space, across calls on the same distribution.
+        """
+        sizes = self.space.alphabet_sizes
+        nd = None
+        for b in a.blocks:
+            marg = margs.get(b)
+            if marg is None:
+                shape = tuple(s if (i + 1) in b else 1 for i, s in enumerate(sizes))
+                marg = margs[b] = self.marginal(b)._dense.reshape(shape)
+            nd = marg if nd is None else nd * marg
+        return nd.ravel() / total ** (a.n_blocks - 1)
 
     def total_variation_distance(self, other: "TypeDistribution") -> float:
         """Half the L1 distance; in [0, 1] for probability distributions."""

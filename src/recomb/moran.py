@@ -21,7 +21,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, SizeCapError, check_count, check_grid, check_time
+from .errors import (
+    LAST_REPLICATE, DomainError, SizeCapError, check_count, check_grid, check_time,
+)
 from .measure import TypeDistribution, TypeSpace
 from .partitions import Partition, count_label_rows
 from .rates import RecombinationDistribution
@@ -42,13 +44,22 @@ class PopulationState:
             for t, c in counts.items():
                 arr[space.encode(t)] += check_count(c, f"count of type {t}", minimum=0)
         else:
-            arr = np.asarray(counts, dtype=np.int64).copy()
-            if arr.shape != (space.cardinality,):
+            raw = np.asarray(counts)
+            if raw.shape != (space.cardinality,):
                 raise DomainError(
-                    f"count array shape {arr.shape} does not match space size"
+                    f"count array shape {raw.shape} does not match space size"
                 )
-            if (arr < 0).any():
+            if raw.dtype.kind not in "iuf":
+                raise DomainError(f"counts must be whole numbers, got dtype {raw.dtype}")
+            if raw.dtype.kind == "f":
+                bad = ~np.isfinite(raw) | (raw != np.floor(raw))
+                if bad.any():
+                    raise DomainError(
+                        f"counts must be whole numbers, got {raw[bad][0].item()!r}"
+                    )
+            if (raw < 0).any():
                 raise DomainError("counts must be nonnegative")
+            arr = raw.astype(np.int64)
         total = int(arr.sum())
         if total < 1:
             raise DomainError("population must contain at least one individual")
@@ -149,8 +160,12 @@ def simulate_moran_grid(
     (size N of z0); otherwise all replicates start exactly at z0.
     """
     times = check_grid(t_grid)
-    replicates = check_count(replicates, "replicate count")
-    first_replicate = check_count(first_replicate, "first replicate", minimum=0)
+    first_replicate = check_count(
+        first_replicate, "first replicate", minimum=0, maximum=LAST_REPLICATE
+    )
+    replicates = check_count(
+        replicates, "replicate count", maximum=LAST_REPLICATE + 1 - first_replicate
+    )
     masks, probs, places, sizes = _model_arrays(d, z0.space)
     w0 = None
     if multinomial_from is not None:
@@ -227,7 +242,7 @@ def lln_report(
     sizes_list = [check_count(n, "population size") for n in population_sizes]
     if not sizes_list:
         raise DomainError("need at least one population size")
-    replicates = check_count(replicates, "replicate count")
+    replicates = check_count(replicates, "replicate count", maximum=LAST_REPLICATE + 1)
     check_time(t)
     _require_prob(w0)
     target = solve_exact(d, w0, t, method="semigroup").to_array()
@@ -321,7 +336,7 @@ def simulate_arg(
 ) -> AncestralState:
     """One backward run from a single individual carrying every site."""
     N = check_count(N, "population size")
-    replicate = check_count(replicate, "replicate", minimum=0)
+    replicate = check_count(replicate, "replicate", minimum=0, maximum=LAST_REPLICATE)
     check_time(t_end)
     masks, probs = d.event_arrays()
     frag_mask, frag_owner, m = _kernels.arg_state(
@@ -349,8 +364,12 @@ def arg_replicates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward runs first_replicate, ...: per-replicate site labels and ancestor counts."""
     N = check_count(N, "population size")
-    n_replicates = check_count(n_replicates, "replicate count")
-    first_replicate = check_count(first_replicate, "first replicate", minimum=0)
+    first_replicate = check_count(
+        first_replicate, "first replicate", minimum=0, maximum=LAST_REPLICATE
+    )
+    n_replicates = check_count(
+        n_replicates, "replicate count", maximum=LAST_REPLICATE + 1 - first_replicate
+    )
     check_time(t_end)
     masks, probs = d.event_arrays()
     return _kernels.arg_batch(
@@ -385,7 +404,7 @@ def reconstruct_replicates(
 ) -> np.ndarray:
     """Flat type indices of n_replicates independent reconstructions."""
     check_time(t)
-    n_replicates = check_count(n_replicates, "replicate count")
+    n_replicates = check_count(n_replicates, "replicate count", maximum=LAST_REPLICATE + 1)
     masks, probs, places, sizes = _model_arrays(d, z0.space)
     return _kernels.reconstruct_batch(
         masks, probs, d.mu, d.n_sites, z0.N, t, seed, n_replicates,

@@ -50,10 +50,27 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
+#: Partitions of one ground set repeat the same block and ground tuples, so
+#: each distinct tuple is kept once here, which keeps a 4140-state index or
+#: many stored models small.  Tuples enter only after validation ((1.0, 2)
+#: equals (1, 2)); the table is emptied when it reaches the cap.
+_INTERN_CAP = 1 << 16
+_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _intern(t: tuple[int, ...]) -> tuple[int, ...]:
+    shared = _interned.get(t)
+    if shared is None:
+        if len(_interned) >= _INTERN_CAP:
+            _interned.clear()
+        shared = _interned[t] = t
+    return shared
+
+
 class Partition:
     """A partition of a finite set of integer sites into disjoint blocks."""
 
-    __slots__ = ("blocks", "ground", "_hash")
+    __slots__ = ("blocks", "ground", "_hash", "_text")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         cb = _canonical_blocks(blocks)
@@ -65,9 +82,10 @@ class Partition:
                 if s in seen:
                     raise DomainError(f"site {s} appears in more than one block")
                 seen.add(s)
-        self.blocks: tuple[tuple[int, ...], ...] = cb
-        self.ground: tuple[int, ...] = tuple(sorted(seen))
+        self.blocks: tuple[tuple[int, ...], ...] = tuple(_intern(b) for b in cb)
+        self.ground: tuple[int, ...] = _intern(tuple(sorted(seen)))
         self._hash = hash(self.blocks)
+        self._text: str | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -98,8 +116,13 @@ class Partition:
         return cls(blocks)
 
     def to_text(self) -> str:
-        """Inverse of :meth:`from_text`; canonical, so it round-trips exactly."""
-        return "|".join(",".join(str(s) for s in b) for b in self.blocks)
+        """Inverse of :meth:`from_text`; canonical, so it round-trips exactly.
+
+        Built on first use and kept on the (immutable) partition.
+        """
+        if self._text is None:
+            self._text = "|".join(",".join(str(s) for s in b) for b in self.blocks)
+        return self._text
 
     # -- basic queries -------------------------------------------------
 

@@ -30,6 +30,7 @@ from recomb import (
     mixture_from_coefficients,
     rhs,
     solve_exact,
+    two_block_partitions,
 )
 from recomb import dynamics
 
@@ -240,6 +241,66 @@ def test_mixture_ground_mismatch(model2, w0_3):
     coeff = coefficients_semigroup(q, 1.0)
     with pytest.raises(DomainError):
         mixture_from_coefficients(coeff, w0_3)
+
+
+def reference_product_over_blocks(w, a):
+    """Recombination along `a` as the measure layer first wrote it: a
+    fresh marginal per block, multiplied into a ones array in block
+    order, then divided by mass^(m-1)."""
+    if a.n_blocks == 1 or w.mass == 0.0:
+        return w.to_array()
+    sizes = w.space.alphabet_sizes
+    nd = np.ones((1,) * len(sizes))
+    for b in a.blocks:
+        shape = tuple(s if (i + 1) in b else 1 for i, s in enumerate(sizes))
+        nd = nd * w.marginal(b).to_array().reshape(shape)
+    return nd.ravel() / w.mass ** (a.n_blocks - 1)
+
+
+def reference_mixture(coefficients, w0):
+    """The per-partition sum that memoized block marginals replaced."""
+    acc = np.zeros(w0.space.cardinality)
+    for a, weight in coefficients.items():
+        if weight != 0.0:
+            acc += weight * reference_product_over_blocks(w0, a)
+    return acc
+
+
+def _crossover8():
+    return RecombinationDistribution.single_crossover([0.3, 1.1, 0.7, 0.2, 0.9, 0.5, 1.4])
+
+
+def _general5():
+    rng = np.random.default_rng(505)
+    ground = tuple(range(1, 6))
+    rates = {a: float(rng.uniform(0.1, 1.0)) for a in two_block_partitions(ground)}
+    return RecombinationDistribution.from_rates(ground, rates)
+
+
+MIXTURE_CASES = {
+    "crossover-8": (_crossover8, [2] * 8),
+    "general-5-alphabet-3": (_general5, [3] * 5),
+}
+
+
+@pytest.mark.parametrize("start", ["dirichlet", "zero-mass"])
+@pytest.mark.parametrize("name", sorted(MIXTURE_CASES))
+def test_mixture_is_bitwise_the_per_partition_sum(name, start):
+    build, sizes = MIXTURE_CASES[name]
+    d, space = build(), TypeSpace(sizes)
+    rng = np.random.default_rng(71)
+    if start == "zero-mass":
+        w0 = TypeDistribution(space, {})
+    else:
+        w0 = TypeDistribution._from_dense(space, rng.dirichlet(np.ones(space.cardinality)))
+    q = build_generator(d, PartitionIndex(d.ground))
+    for t in (0.1, 1.0):
+        coefficients = coefficients_semigroup(q, t)
+        got = mixture_from_coefficients(coefficients, w0).to_array()
+        assert got.tobytes() == reference_mixture(coefficients, w0).tobytes()
+    for a in PartitionIndex(d.ground).partitions[::37]:
+        got = w0.product_over_blocks(a).to_array()
+        assert got.tobytes() == reference_product_over_blocks(w0, a).tobytes()
 
 
 def test_sparse_and_dense_storage_agree(model3, w0_3):

@@ -5,7 +5,9 @@ The raw generator is pinned to an independently computed reference
 every public kernel's output on a fixed batch is pinned by digest, and
 the lane-form partition sampler and the bulk-stream Moran, ARG and
 reconstruction kernels are checked bitwise against the draw-at-a-time
-scalar walks they replaced, kept here as the references.
+scalar walks they replaced, kept here as the references; the dense ODE
+right-hand side is checked bitwise against the per-event loop it
+replaced.
 """
 
 import hashlib
@@ -863,9 +865,7 @@ def _probe_outputs(d, space, w):
         "reconstruct_batch": K.reconstruct_batch(
             masks, probs, 1.0, 3, 200, 1.0, 23, 32, z0.counts, places, sizes
         ),
-        "rhs_dense": K.rhs_dense(
-            w_dyadic, field.idx1, field.idx2, field.k1s, field.k2s, field.rates
-        ),
+        "rhs_dense": K.rhs_dense(w_dyadic, field.idx1, field.idx2, field.rates),
     }
 
 
@@ -894,3 +894,108 @@ def test_rhs_kernel_matches_measure_algebra(model3, w0_3, rng):
         want += model3.mu * r * (wd.product_over_blocks(a).to_array() - w)
     assert np.max(np.abs(got - want)) <= 1e-14
     assert abs(got.sum()) <= 1e-14  # pure redistribution
+
+
+# ---------------------------------------------------------------------------
+# dense right-hand side: one pass per block side against the per-event loop
+# ---------------------------------------------------------------------------
+
+
+def reference_rhs_dense(w, idx1, idx2, k1s, k2s, rates):
+    """The per-event loop the one-pass kernel replaced: row e of idx1/idx2
+    maps a flat type index to its block-1/block-2 marginal index of event
+    e (no offsets), with k1s[e]/k2s[e] bins."""
+    out = np.zeros_like(w)
+    mass = w.sum()
+    if mass <= 0.0:
+        return out
+    for e in range(len(rates)):
+        m1 = np.bincount(idx1[e], weights=w, minlength=k1s[e])
+        m2 = np.bincount(idx2[e], weights=w, minlength=k2s[e])
+        out += rates[e] * (m1[idx1[e]] * m2[idx2[e]] / mass - w)
+    return out
+
+
+def _reference_event_maps(d, space):
+    """Per-event block marginal maps built type by type through
+    TypeSpace.encode, in the event order of the vector field."""
+    entries = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
+    types = list(space.types())
+    maps = ([], [], [], [])
+    for a, _ in entries:
+        for side in (0, 1):
+            block = a.blocks[side]
+            sub = space.subspace(block)
+            maps[side].append([sub.encode([t[s - 1] for s in block]) for t in types])
+            maps[side + 2].append(sub.cardinality)
+    idx1, idx2, k1s, k2s = (np.array(m, np.int64) for m in maps)
+    rates = np.array([d.mu * r for _, r in entries])
+    return idx1, idx2, k1s, k2s, rates
+
+
+def _residual_model():
+    # probability style with a residual of 0.35; the zero entry is dropped
+    entries = {
+        Partition.from_text("1|2,3,4"): 0.4,
+        Partition.from_text("1,2|3,4"): 0.0,
+        Partition.from_text("1,3|2,4"): 0.25,
+    }
+    return RecombinationDistribution.from_probabilities((1, 2, 3, 4), 0.7, entries)
+
+
+RHS_CASES = {
+    "three-site": (lambda: _general(3, 3), [2, 2, 2]),
+    "general-5-alphabet-3": (lambda: _general(5, 605), [3, 3, 3, 3, 3]),
+    "residual-and-zero-entry": (_residual_model, [2, 3, 2, 2]),
+    "no-entries": (
+        lambda: RecombinationDistribution.from_probabilities((1, 2, 3), 1.0, {}),
+        [2, 3, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHS_CASES))
+def test_rhs_dense_is_bitwise_the_per_event_loop(name):
+    build, sizes = RHS_CASES[name]
+    d, space = build(), TypeSpace(sizes)
+    field = _VectorField(d, space)
+    idx1, idx2, k1s, k2s, rates = _reference_event_maps(d, space)
+    assert field.rates.tobytes() == rates.tobytes()
+    rng = np.random.default_rng(29)
+    size = space.cardinality
+    states = {
+        "dirichlet": rng.dirichlet(np.ones(size)),
+        # an RK4 stage state: mass near 1, some entries below zero
+        "signed": rng.dirichlet(np.ones(size)) + 1e-3 * rng.standard_normal(size),
+        "sparse": np.where(np.arange(size) % 3 == 0, 3.0 / size, 0.0),
+        "zero-mass": np.zeros(size),
+        "cancelling": np.concatenate([[0.5, -0.5], np.zeros(size - 2)]),
+    }
+    for label, w in states.items():
+        got = K.rhs_dense(w, field.idx1, field.idx2, field.rates)
+        want = reference_rhs_dense(w, idx1, idx2, k1s, k2s, rates)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"{name}, {label} state"
+
+
+def test_vector_field_places_each_events_bins_after_the_last():
+    d, space = _general(5, 605), TypeSpace([3, 3, 3, 3, 3])
+    field = _VectorField(d, space)
+    _, _, k1s, k2s, _ = _reference_event_maps(d, space)
+    for idx, ks in ((field.idx1, k1s), (field.idx2, k2s)):
+        starts = np.concatenate([[0], np.cumsum(ks)[:-1]])
+        assert np.array_equal(idx.min(axis=1), starts)
+        assert np.array_equal(idx.max(axis=1), starts + ks - 1)
+
+
+def test_rhs_dense_sums_the_events_from_zero_like_the_loop():
+    # the rate underflows every term to a signed zero; the loop's first
+    # addition 0.0 + -0.0 is +0.0, so the sum must start from +0.0 too
+    d = RecombinationDistribution.from_rates((1, 2), {Partition.from_text("1|2"): 1e-310})
+    space = TypeSpace([2, 2])
+    w = np.array([1e-20, -1e-20, 0.5, 0.5])
+    field = _VectorField(d, space)
+    got = K.rhs_dense(w, field.idx1, field.idx2, field.rates)
+    want = reference_rhs_dense(w, *_reference_event_maps(d, space))
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got).any()

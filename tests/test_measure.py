@@ -62,10 +62,26 @@ def test_space_constructor_validation():
         TypeSpace([2, 0])
 
 
+@pytest.mark.parametrize("sizes", [[2.5, 2], [True, 2], [float("nan"), 2], [2, 0], [2, -1.0]])
+def test_space_refuses_alphabet_sizes_that_are_not_whole(sizes):
+    # int(2.5) would silently make TypeSpace([2.5, 2]) a 2 x 2 space
+    with pytest.raises(DomainError, match="alphabet size") as info:
+        TypeSpace(sizes)
+    assert info.value.__context__ is None and info.value.__cause__ is None
+
+
+def test_space_accepts_whole_floats_and_numpy_integers():
+    sp = TypeSpace([2.0, np.int64(3), 4])
+    assert sp.alphabet_sizes == (2, 3, 4)
+    assert all(type(s) is int for s in sp.alphabet_sizes)
+    assert sp == TypeSpace([2, 3, 4]) and sp.places == (12, 4, 1)
+
+
 def test_subspace():
     sp = TypeSpace([2, 3, 4])
     sub = sp.subspace((1, 3))
     assert sub.alphabet_sizes == (2, 4)
+    assert sub == TypeSpace([2, 4]) and sub.places == (4, 1) and sub.cardinality == 8
 
 
 def test_large_space_is_sparse():

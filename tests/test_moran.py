@@ -22,6 +22,7 @@ from recomb import (
     lln_report,
     moran_event_counts,
     partition_frequencies,
+    partitioning_history,
     reconstruct_replicates,
     simulate_arg,
     simulate_moran,
@@ -223,6 +224,83 @@ def test_samplers_refuse_counts_that_are_not_whole(
     z0 = PopulationState(TypeSpace([2, 2, 2]), {(0, 0, 0): 12, (1, 1, 1): 8})
     with pytest.raises(DomainError, match="whole number|>= "):
         call(model3, w0_3, z0, value)
+
+
+def _refused(call, match):
+    """The DomainError `call` raises, raised by the package itself rather
+    than re-raised from a numpy error."""
+    with pytest.raises(DomainError, match=match) as info:
+        call()
+    assert info.value.__context__ is None and info.value.__cause__ is None
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[2.5, 1.7, 0, 0], [2.0, math.nan, 0, 0], [1.0, math.inf, 0, 0], [True, False, True, False]],
+)
+def test_population_array_refuses_counts_that_are_not_whole(counts):
+    # np.int64 would truncate [2.5, 1.7, 0, 0] to a population of 3
+    _refused(lambda: PopulationState(TypeSpace([2, 2]), counts), "whole number")
+
+
+def test_population_array_accepts_whole_floats_and_refuses_negatives():
+    space = TypeSpace([2, 2])
+    z = PopulationState(space, [2.0, 1.0, 0.0, 0.0])
+    assert z.counts.dtype == np.int64 and z.N == 3
+    assert z == PopulationState(space, np.array([2, 1, 0, 0], np.uint8))
+    for counts in ([2.0, -1.0, 0, 0], [2, -1, 0, 0]):
+        _refused(lambda: PopulationState(space, counts), "nonnegative")
+
+
+LAST = 2 ** 64 - 1
+
+# front door -> a call whose replicate indices run one past 2**64 - 1
+PAST_LAST_REPLICATE = {
+    "stream_uniforms": lambda d, z: stream_uniforms(1, 2 ** 64, 3),
+    "simulate_arg": lambda d, z: simulate_arg(d, 20, 1.0, seed=1, replicate=2 ** 64),
+    "arg_replicates-first": lambda d, z: arg_replicates(d, 20, 1.0, 1, 1, first_replicate=2 ** 64),
+    "arg_replicates-span": lambda d, z: arg_replicates(d, 20, 1.0, 1, 2, first_replicate=LAST),
+    "simulate_moran_grid-first": lambda d, z: simulate_moran_grid(
+        d, z, [0.5], 1, first_replicate=2 ** 64
+    ),
+    "simulate_moran_grid-span": lambda d, z: simulate_moran_grid(
+        d, z, [0.5], 1, replicates=3, first_replicate=LAST - 1
+    ),
+    "partitioning_history": lambda d, z: partitioning_history(
+        d, Partition.one_block(d.ground), 1.0, 0, 2 ** 64
+    ),
+    "partition_frequencies": lambda d, z: partition_frequencies(d, 1.0, 2 ** 64 + 1, seed=0),
+    "reconstruct_replicates": lambda d, z: reconstruct_replicates(d, z, 1.0, 1, 2 ** 64 + 1),
+    "lln_report": lambda d, z: lln_report(d, z.frequencies(), 0.5, [10], 2 ** 64 + 1, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_LAST_REPLICATE))
+def test_replicate_indices_past_the_last_stream_are_refused(
+    model3, no_sampler_kernels, monkeypatch, name
+):
+    def reached(*args, **kwargs):
+        raise AssertionError("a kernel ran before the arguments were checked")
+
+    for kernel in ("partition_batch", "partition_history"):
+        monkeypatch.setattr(_kernels, kernel, reached)
+    z0 = PopulationState(TypeSpace([2, 2, 2]), {(0, 0, 0): 12, (1, 1, 1): 8})
+    _refused(lambda: PAST_LAST_REPLICATE[name](model3, z0), "<= ")
+
+
+def test_the_last_replicate_index_runs(model3):
+    z0 = PopulationState(TypeSpace([2, 2, 2]), {(0, 0, 0): 12, (1, 1, 1): 8})
+    assert stream_uniforms(1, LAST, 3).shape == (3,)
+    rows, _ = arg_replicates(model3, 20, 1.0, 1, 2, first_replicate=LAST - 1)
+    assert np.array_equal(rows[1], arg_replicates(model3, 20, 1.0, 1, 1, first_replicate=LAST)[0][0])
+    grid = simulate_moran_grid(model3, z0, [0.5], 1, replicates=2, first_replicate=LAST - 1)
+    assert np.array_equal(
+        grid[1], simulate_moran_grid(model3, z0, [0.5], 1, first_replicate=LAST)[0]
+    )
+    assert simulate_arg(model3, 20, 1.0, seed=1, replicate=LAST).n_ancestors >= 1
+    history = partitioning_history(model3, Partition.one_block(model3.ground), 5.0, 0, LAST)
+    assert all(a.refines(Partition.one_block(model3.ground)) for _, a in history)
 
 
 def test_samplers_accept_whole_floats_and_numpy_integers(model3, w0_3):

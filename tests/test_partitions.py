@@ -290,3 +290,23 @@ def test_site_cap_guards_lattice_enumeration():
     PartitionIndex(tuple(range(1, 9)))  # at the cap: allowed
     with pytest.raises(SizeCapError):
         PartitionIndex(tuple(range(1, 10)))
+
+
+def test_to_text_is_built_once_and_round_trips():
+    for p in PartitionIndex((1, 2, 3, 4, 5)).partitions:
+        first = p.to_text()
+        assert first == "|".join(",".join(str(s) for s in b) for b in p.blocks)
+        assert p.to_text() is first
+        assert Partition.from_text(first) == p
+        assert Partition.from_text(first).to_text() == first
+
+
+def test_partitions_share_their_block_and_ground_tuples():
+    a, b = Partition.from_text("1,2|3,4"), Partition.from_masks([3, 12], (1, 2, 3, 4))
+    assert a.ground is b.ground and a.blocks[0] is b.blocks[0]
+    # a refused partition leaves nothing shared behind: (1.0, 7) == (1, 7)
+    with pytest.raises(DomainError):
+        Partition([(1.0, 7), (8,)])
+    c = Partition([(1, 7), (8,)])
+    assert all(type(s) is int for blk in c.blocks for s in blk)
+    assert all(type(s) is int for s in c.ground)
