@@ -8,7 +8,8 @@ Three routes to the same flow on probability distributions:
   with coefficients from any of the exact routes in :mod:`.ancestral`
   (``exact_coefficients`` builds a route once for many times);
 * ``iterate_discrete`` - the per-generation map of probability-style
-  models.
+  models, w -> w + F_r(w): the same vector field with the probabilities
+  r in place of the rates, on the same dense kernel.
 
 ``check_duality`` confirms that recombining the solved state along a
 partition equals restarting the coefficient process from that partition.
@@ -107,13 +108,13 @@ class _VectorField:
     Row e of idx1/idx2 sends a flat type index to its marginal bin on
     block 1/block 2 of event e; each event's bins follow the previous
     event's, so all block marginals of a side are one bincount pass.
+    ``probs`` holds r(A) and ``rates`` mu * r(A) per event; callers check
+    the model's sites against the space first.
     """
 
-    __slots__ = ("space", "rates", "idx1", "idx2")
+    __slots__ = ("space", "probs", "rates", "idx1", "idx2")
 
     def __init__(self, d: RecombinationDistribution, space: TypeSpace):
-        if d.ground != space.sites:
-            raise DomainError("model and space site sets differ")
         entries = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
         K = space.cardinality
         digits = np.empty((space.n_sites, K), dtype=np.int64)
@@ -132,7 +133,8 @@ class _VectorField:
                     idx[e] += digits[site - 1] * sub.places[pos]
                 offset += sub.cardinality
         self.space = space
-        self.rates = np.array([d.mu * r for _, r in entries])
+        self.probs = np.array([r for _, r in entries])
+        self.rates = self.probs * d.mu
         self.idx1 = idx1
         self.idx2 = idx2
 
@@ -286,12 +288,14 @@ def solve_exact(
 def iterate_discrete(
     d: RecombinationDistribution, w0: TypeDistribution, t: int
 ) -> Trajectory:
-    """The per-generation map w -> sum_A r(A) recombine_A(w), t times.
+    """The per-generation map w -> w + F_r(w), t times.
 
-    Needs a probability-style model: the entries are applied as
-    per-generation probabilities with the residual mass copying the state
-    unchanged, so each step is a convex combination and stays on the
-    probability simplex.
+    Needs a probability-style model. F_r is the vector field of
+    :func:`rhs` with the probabilities r(A) in place of the rates, so a
+    generation is sum_A r(A) recombine_A(w) + (1 - sum r) w. On a dense
+    space it is one ``rhs_dense`` pass of the ODE kernel; its increment
+    sums to zero, so mass is kept by construction. A sparse space steps
+    entry by entry with the residual clamped at 0.
     """
     _check_model_space(d, w0)
     if d.style != "probability":
@@ -299,23 +303,24 @@ def iterate_discrete(
             "discrete-time iteration needs a probability-style model, not rates"
         )
     t = check_count(t, "generation count", minimum=0)
-    entries = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
-    residual = d.residual_probability
     times = [float(s) for s in range(t + 1)]
     states = [w0]
+    if w0.is_dense:
+        field = _VectorField(d, w0.space)
+        w = w0._dense
+        for _ in range(t):
+            w = w + _kernels.rhs_dense(w, field.idx1, field.idx2, field.probs)
+            states.append(TypeDistribution._from_dense(w0.space, w))
+        return Trajectory(times, states)
+    entries = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
+    residual = d.residual_probability
     w = w0
     for _ in range(t):
-        if w.is_dense:
-            acc = residual * w._dense
-            for a, r in entries:
-                acc = acc + r * w.product_over_blocks(a)._dense
-            w = TypeDistribution._from_dense(w.space, acc)
-        else:
-            acc_d = {ty: residual * v for ty, v in w.items()}
-            for a, r in entries:
-                for ty, v in w.product_over_blocks(a).items():
-                    acc_d[ty] = acc_d.get(ty, 0.0) + r * v
-            w = TypeDistribution._from_sparse(w.space, acc_d)
+        acc = {ty: residual * v for ty, v in w.items()}
+        for a, r in entries:
+            for ty, v in w.product_over_blocks(a).items():
+                acc[ty] = acc.get(ty, 0.0) + r * v
+        w = TypeDistribution._from_sparse(w.space, acc)
         states.append(w)
     return Trajectory(times, states)
 

@@ -15,7 +15,7 @@ all heavy loops live in :mod:`._kernels`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,6 +29,10 @@ from .partitions import Partition, count_label_rows
 from .rates import RecombinationDistribution
 
 
+#: counts are stored as int64, so each count and N is at most this.
+MAX_COUNT = 2 ** 63 - 1
+
+
 class PopulationState:
     """N individuals stored as per-type counts (exchangeable population)."""
 
@@ -40,9 +44,9 @@ class PopulationState:
                 "population states need a dense type space (within the storage cap)"
             )
         if isinstance(counts, Mapping):
-            arr = np.zeros(space.cardinality, dtype=np.int64)
+            arr = np.zeros(space.cardinality, dtype=object)  # Python ints: no wrap
             for t, c in counts.items():
-                arr[space.encode(t)] += check_count(c, f"count of type {t}", minimum=0)
+                arr[space.encode(t)] += check_count(c, f"count of type {t}", 0, MAX_COUNT)
         else:
             raw = np.asarray(counts)
             if raw.shape != (space.cardinality,):
@@ -59,13 +63,11 @@ class PopulationState:
                     )
             if (raw < 0).any():
                 raise DomainError("counts must be nonnegative")
+            check_count(raw.max().item(), "each count", minimum=0, maximum=MAX_COUNT)
             arr = raw.astype(np.int64)
-        total = int(arr.sum())
-        if total < 1:
-            raise DomainError("population must contain at least one individual")
+        self.N = check_count(sum(arr.tolist()), "population size N", maximum=MAX_COUNT)
         self.space = space
-        self.counts = arr
-        self.N = total
+        self.counts = arr.astype(np.int64, copy=False)
 
     @classmethod
     def from_distribution(
@@ -77,7 +79,7 @@ class PopulationState:
         mode 'multinomial' draws N individuals iid from w with the package
         RNG, reproducible from the seed.
         """
-        N = check_count(N, "population size")
+        N = check_count(N, "population size", maximum=MAX_COUNT)
         if not w.space.dense:
             raise SizeCapError("population initialization needs a dense space")
         weights = w.to_array()
@@ -210,14 +212,7 @@ class LlnReport:
     slope: float
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "replicates": self.replicates,
-            "population_sizes": self.population_sizes,
-            "mean_tv": self.mean_tv,
-            "sd_tv": self.sd_tv,
-            "slope": self.slope,
-        }
+        return asdict(self)
 
 
 def lln_report(
@@ -262,14 +257,7 @@ def lln_report(
         )
     else:
         slope = math.nan
-    return LlnReport(
-        t=float(t),
-        replicates=replicates,
-        population_sizes=sizes_list,
-        mean_tv=means,
-        sd_tv=sds,
-        slope=slope,
-    )
+    return LlnReport(float(t), replicates, sizes_list, means, sds, slope)
 
 
 def _require_prob(w: TypeDistribution) -> None:

@@ -3,6 +3,8 @@ solution, discrete generations, and the duality identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recomb import (
     CoefficientVector,
@@ -32,7 +34,7 @@ from recomb import (
     solve_exact,
     two_block_partitions,
 )
-from recomb import dynamics
+from recomb import _kernels, dynamics
 
 P = Partition.from_text
 
@@ -360,6 +362,103 @@ def test_discrete_validation(model2, model3, w0_2, w0_3):
         iterate_discrete(model3, w0_3, np.int64(2)).final.to_array(),
         iterate_discrete(model3, w0_3, 2).final.to_array(),
     )
+
+
+def test_dense_generation_is_one_kernel_pass(model3, w0_3, monkeypatch):
+    # a generation is w + F_r(w) on the ODE kernel, not a loop over the
+    # model's entries
+    calls = {"rhs_dense": 0, "product_over_blocks": 0}
+    rhs_dense = _kernels.rhs_dense
+    product_over_blocks = TypeDistribution.product_over_blocks
+
+    def counted_rhs_dense(*args):
+        calls["rhs_dense"] += 1
+        return rhs_dense(*args)
+
+    def counted_product_over_blocks(self, a):
+        calls["product_over_blocks"] += 1
+        return product_over_blocks(self, a)
+
+    monkeypatch.setattr(_kernels, "rhs_dense", counted_rhs_dense)
+    monkeypatch.setattr(TypeDistribution, "product_over_blocks", counted_product_over_blocks)
+    iterate_discrete(model3, w0_3, 7)
+    assert calls == {"rhs_dense": 7, "product_over_blocks": 0}
+
+
+def test_discrete_mass_is_kept_on_near_unit_support(w0_3):
+    # sum r = 1 + 5e-10 is accepted; a clamped residual would let the mass
+    # grow by about 5e-10 per generation
+    d = RecombinationDistribution.from_probabilities(
+        (1, 2, 3), 1.0, {P("1|2,3"): 0.5, P("1,2|3"): 0.3, P("1,3|2"): 0.2 + 5e-10}
+    )
+    assert sum(d.entries.values()) > 1.0
+    final = iterate_discrete(d, w0_3, 10 ** 4).final
+    assert abs(final.mass - 1.0) <= 1e-12
+
+
+def _relabelled_marginal_model(d, u):
+    """The probability-style marginal model of d on the sites u, with u's
+    sites renamed 1..|u| in increasing order."""
+    rename = {site: k for k, site in enumerate(u, start=1)}
+    return RecombinationDistribution.from_probabilities(
+        range(1, len(u) + 1),
+        d.mu,
+        {
+            Partition([[rename[s] for s in block] for block in b.blocks]):
+                d.marginal_probability(u, b)
+            for b in two_block_partitions(u)
+        },
+    )
+
+
+@st.composite
+def discrete_marginal_cases(draw):
+    """A general probability model on n <= 5 sites (some splits at 0, a
+    residual that may be 0), a dense start, a site subset U and t <= 20."""
+    n = draw(st.sampled_from([5, 4, 3, 2]))
+    ground = tuple(range(1, n + 1))
+    weight = st.one_of(st.floats(0.05, 2.0), st.just(0.0))
+    raw = {a: draw(weight) for a in two_block_partitions(ground)}
+    scale = sum(raw.values()) + draw(st.sampled_from([0.0, 0.2, 1.0])) or 1.0
+    d = RecombinationDistribution.from_probabilities(
+        ground, draw(st.sampled_from([0.5, 1.0])), {a: v / scale for a, v in raw.items()}
+    )
+    space = TypeSpace(draw(st.lists(st.integers(2, 3), min_size=n, max_size=n)))
+    weights = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(
+        space.cardinality
+    )
+    w0 = TypeDistribution._from_dense(space, weights / weights.sum())
+    u = tuple(sorted(draw(st.sets(st.sampled_from(ground), min_size=1))))
+    return d, w0, u, draw(st.integers(0, 20))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(discrete_marginal_cases())
+def test_discrete_generations_restricted_to_a_subset_are_the_marginal_generations(case):
+    # the marginal on U of the iterated state is the marginal model on U
+    # iterated from the marginal start
+    d, w0, u, t = case
+    got = iterate_discrete(d, w0, t)
+    want = iterate_discrete(_relabelled_marginal_model(d, u), w0.marginal(u), t)
+    for s in range(t + 1):
+        assert got.states[s].marginal(u).sup_distance(want.states[s]) <= 1e-13, s
+
+
+def test_sparse_discrete_generations_marginalise(model3):
+    # past the dense storage cap the per-entry step runs; its marginals on
+    # a dense subspace match the dense kernel's generations
+    space = TypeSpace([128, 128, 128])
+    w0 = TypeDistribution.from_pairs(
+        space, [((0, 0, 0), 0.5), ((5, 7, 1), 0.3), ((127, 3, 9), 0.2)]
+    )
+    assert not w0.is_dense
+    got = iterate_discrete(model3, w0, 6)
+    for u in ((1, 3), (2,)):
+        start = TypeDistribution.from_pairs(w0.marginal(u).space, w0.marginal(u).items())
+        assert start.is_dense
+        want = iterate_discrete(_relabelled_marginal_model(model3, u), start, 6)
+        for s in range(7):
+            assert got.states[s].marginal(u).sup_distance(want.states[s]) <= 1e-13, (u, s)
 
 
 # ---------------------------------------------------------------------------

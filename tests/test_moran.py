@@ -3,6 +3,7 @@ single-event law, the law-of-large-numbers report, and the backward
 ancestry process with founder reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,33 @@ def test_population_array_accepts_whole_floats_and_refuses_negatives():
     assert z == PopulationState(space, np.array([2, 1, 0, 0], np.uint8))
     for counts in ([2.0, -1.0, 0, 0], [2, -1, 0, 0]):
         _refused(lambda: PopulationState(space, counts), "nonnegative")
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [2 ** 62, 2 ** 62, 0, 0],  # each count fits int64, their sum does not
+        np.array([1e30, 0, 0, 0]),
+        np.array([2 ** 63, 0, 0, 0], np.uint64),
+        {(0, 0): 2 ** 63},
+        {(0, 0): 2 ** 62, (1, 1): 2 ** 62},
+    ],
+    ids=["array-sum", "array-float", "array-uint64", "mapping-count", "mapping-sum"],
+)
+def test_population_refuses_counts_past_int64(counts):
+    # refused before any cast to int64, so no numpy overflow or cast
+    # warning is raised or chained
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _refused(lambda: PopulationState(TypeSpace([2, 2]), counts), "<= ")
+    assert str(2 ** 63 - 1) in str(err)
+
+
+def test_population_accepts_counts_up_to_int64():
+    z = PopulationState(TypeSpace([2, 2]), [2 ** 62, 2 ** 62 - 1, 0, 0])
+    assert z.N == 2 ** 63 - 1 and z.counts.dtype == np.int64
+    z = PopulationState(TypeSpace([2, 2]), {(0, 0): 2 ** 62, (1, 1): 2 ** 62 - 1})
+    assert z.N == 2 ** 63 - 1 and z.count((1, 1)) == 2 ** 62 - 1
 
 
 LAST = 2 ** 64 - 1
