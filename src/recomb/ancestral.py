@@ -15,8 +15,12 @@ Plus the discrete-time transition matrix and its power iteration.
 
 The generator, the discrete matrix and ``PsiTheta`` run on mask states
 (see :mod:`.partitions`) with rates from ``RecombinationDistribution``'s
-split table, refinement step ``children`` and ``exit_rate``; ``PsiTheta``
+split table, refinement step ``steps`` and ``exit_rate``; ``PsiTheta``
 takes each subset's reachable states from its merge tables (one per split).
+The exact routes index the states the model reaches from the one-block
+partition (``RecombinationDistribution.reachable``); ``on_output_index``
+puts their results on the whole lattice (``shared_index``) up to
+``DEFAULT_SITE_CAP`` sites and leaves them on the reachable states above.
 ``Partition`` objects are converted at the edge only: by ``PartitionIndex``,
 ``exit_rate`` and ``PsiTheta.psi``/``theta``/``ground_table``.
 ``PartitionMatrix`` stores sorted COO arrays; the semigroup and discrete
@@ -36,6 +40,7 @@ from .errors import (
     LAST_REPLICATE, DomainError, NonGenericRatesError, check_count, check_time,
 )
 from .partitions import (
+    DEFAULT_SITE_CAP,
     Partition,
     PartitionIndex,
     count_label_rows,
@@ -132,7 +137,8 @@ def _dense_entries(values: np.ndarray, lo: int = 0):
 
 
 class CoefficientVector:
-    """Probabilities a_t(A) aligned with a PartitionIndex."""
+    """Probabilities a_t(A) aligned with a PartitionIndex; a partition of the
+    ground set that the index does not hold has value 0."""
 
     __slots__ = ("index", "values")
 
@@ -146,7 +152,10 @@ class CoefficientVector:
         self.values = values
 
     def value(self, a: Partition) -> float:
-        return float(self.values[self.index.index_of(a)])
+        if a.ground != self.index.ground:
+            raise DomainError(f"{a.to_text()} is not a partition of {self.index.ground}")
+        i = self.index.position.get(tuple(a.as_masks()))
+        return 0.0 if i is None else float(self.values[i])
 
     __getitem__ = value
 
@@ -174,29 +183,35 @@ def exit_rate(d: RecombinationDistribution, a: Partition) -> float:
 
 
 def build_generator(d: RecombinationDistribution, index: PartitionIndex) -> PartitionMatrix:
-    """Markov generator of the refinement process on the full lattice.
+    """Markov generator of the refinement process on the states of `index`.
 
     From state A, each block independently splits into an unordered pair
     at its two-block marginal rate; the diagonal balances each row.
     Nonzero off-diagonals always point from coarser to strictly finer
     partitions, so the matrix is triangular in index order.  Every row
-    stores its diagonal entry, -0.0 on states that never split.
+    stores its diagonal entry, -0.0 on states that never split.  The index
+    must hold every state its states step to: the lattice, or the model's
+    ``reachable()`` states.
     """
     if index.ground != d.ground:
         raise DomainError(f"index ground {index.ground} does not match {d.ground}")
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    for i, state in enumerate(index.states):
-        total = 0.0
-        for child, rate in d.children(state):
+    position = index.position
+    try:
+        for i, state in enumerate(index.states):
+            total = 0.0
+            for child, rate in d.steps(state):
+                rows.append(i)
+                cols.append(position[child])
+                data.append(rate)
+                total += rate
             rows.append(i)
-            cols.append(index.position[child])
-            data.append(rate)
-            total += rate
-        rows.append(i)
-        cols.append(i)
-        data.append(-total)
+            cols.append(i)
+            data.append(-total)
+    except KeyError:
+        raise DomainError("the index misses a state the model steps to") from None
     return PartitionMatrix._from_entries(index, rows, cols, data)
 
 
@@ -282,14 +297,41 @@ def coefficients_semigroup(
 ) -> CoefficientVector:
     """Row `start` of e^{tQ}: the law of the process at time t.
 
-    Computed as a vector iteration, one sparse step per Poisson term
-    (work proportional to Q's stored entries); never forms the exponential.
+    `start` defaults to the index's first state, the one-block partition
+    of the lattice and of ``reachable()``.  Computed as a vector iteration,
+    one sparse step per Poisson term (work proportional to Q's stored
+    entries); never forms the exponential.
     """
     check_time(t)
     index = q.index
     v = np.zeros(len(index))
-    v[index.index_of(index.one if start is None else start)] = 1.0
+    v[0 if start is None else index.index_of(start)] = 1.0
     return CoefficientVector(index, _expm_action(q, v, t))
+
+
+def on_output_index(vectors: list[CoefficientVector]) -> list[CoefficientVector]:
+    """Coefficient vectors of one index as the exact routes return them.
+
+    Up to ``DEFAULT_SITE_CAP`` sites: on ``shared_index`` of the ground
+    set, every partition listed and the states outside `vectors`' index at
+    0, by one scatter each.  Above the cap: unchanged, the reachable
+    states only.
+    """
+    if not vectors:
+        return vectors
+    index = vectors[0].index
+    if len(index.ground) > DEFAULT_SITE_CAP:
+        return vectors
+    lattice = shared_index(index.ground)
+    if index is lattice:
+        return vectors
+    where = np.array([lattice.position[s] for s in index.states], dtype=np.int64)
+    out = []
+    for v in vectors:
+        values = np.zeros(len(lattice))
+        values[where] = v.values
+        out.append(CoefficientVector(lattice, values))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -315,13 +357,17 @@ class PsiTheta:
     union and keys the weight loop.  Distinct exit rates are required over
     that reachable set (per subset), not the whole lattice.
     Partitions outside it may tie freely: their weights are identically zero.
+    ``index`` is the lattice up to ``DEFAULT_SITE_CAP`` sites and the
+    model's reachable states above.
     """
 
     __slots__ = ("d", "index", "_table", "_exit_rates")
 
     def __init__(self, d: RecombinationDistribution):
         self.d = d
-        self.index = shared_index(d.ground)
+        self.index = (
+            shared_index(d.ground) if d.n_sites <= DEFAULT_SITE_CAP else d.reachable()
+        )
         self._table, self._exit_rates = self._build((1 << d.n_sites) - 1, {})
 
     def psi(self, a: Partition) -> float:
@@ -416,21 +462,23 @@ def coefficients_single_crossover(
     The coefficient of the interval partition with cut set G is the
     product of (1 - e^{-t rho_k}) over cuts in G and e^{-t rho_l} over
     the remaining cuts; every non-interval partition has weight zero.
+    Computed on the model's reachable states, the interval partitions of
+    its cuts, and returned through ``on_output_index``.
     """
     check_time(t)
     if not d.is_single_crossover():
         raise DomainError(
             "not a single-crossover model: support contains a non-interval split"
         )
-    index = shared_index(d.ground)
+    index = d.reachable()
     survive = [math.exp(-t * d.cut_rate(k)) for k in range(1, d.n_sites)]
     out = np.zeros(len(index))
-    for p in index.interval_partitions():
-        cuts = p.cut_set()
-        out[index.index_of(p)] = math.prod(
+    for i, state in enumerate(index.states):
+        cuts = {m.bit_length() for m in state}  # block maxima: the cuts and n
+        out[i] = math.prod(
             1.0 - s if k in cuts else s for k, s in enumerate(survive, start=1)
         )
-    return CoefficientVector(index, out)
+    return on_output_index([CoefficientVector(index, out)])[0]
 
 
 # --------------------------------------------------------------------------

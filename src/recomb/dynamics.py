@@ -17,6 +17,7 @@ partition equals restarting the coefficient process from that partition.
 
 from __future__ import annotations
 
+import logging
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .ancestral import (
     coefficients_semigroup,
     coefficients_single_crossover,
     compute_psi_theta,
+    on_output_index,
 )
 from .errors import (
     DomainError, MassDriftError, SizeCapError, check_count, check_grid, check_time,
@@ -36,6 +38,8 @@ from .errors import (
 from .measure import TypeDistribution, TypeSpace
 from .partitions import Partition, shared_index
 from .rates import RecombinationDistribution
+
+log = logging.getLogger(__name__)
 
 #: hard error threshold for |mass - 1| along integrated trajectories.
 MASS_TOL = 1e-9
@@ -225,19 +229,35 @@ def exact_coefficients(
     d: RecombinationDistribution, times: Iterable[float], method: str
 ) -> list[CoefficientVector]:
     """a_t at each of `times` by one exact route, built once for all times
-    (one generator for ``semigroup``, one ``PsiTheta`` for ``recursion``)."""
+    (one generator for ``semigroup``, one ``PsiTheta`` for ``recursion``).
+
+    Every route works on the states the model reaches from the one-block
+    partition; the vectors come back on the whole lattice up to
+    ``DEFAULT_SITE_CAP`` sites and on the reachable states above (see
+    ``on_output_index``).  The route and its sizes are logged at INFO.
+    """
     times = [float(t) for t in times]
     if method not in EXACT_METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {EXACT_METHODS}")
     for t in times:
         check_time(t)
+    entries = 0
     if method == "semigroup":
-        q = build_generator(d, shared_index(d.ground))
-        return [coefficients_semigroup(q, t) for t in times]
-    if method == "recursion":
+        q = build_generator(d, d.reachable())
+        reached, entries = len(q.index), len(q.data)
+        out = on_output_index([coefficients_semigroup(q, t) for t in times])
+    elif method == "recursion":
         pt = compute_psi_theta(d)
-        return [coefficients_recursion(pt, t) for t in times]
-    return [coefficients_single_crossover(d, t) for t in times]
+        reached = len(pt._exit_rates)
+        out = [coefficients_recursion(pt, t) for t in times]
+    else:
+        out = [coefficients_single_crossover(d, t) for t in times]
+        reached = len(d.reachable())
+    log.info(
+        "exact route %s on %d sites: %d reachable states, %d stored generator entries",
+        method, d.n_sites, reached, entries,
+    )
+    return out
 
 
 def mixture_from_coefficients(

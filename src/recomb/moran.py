@@ -31,6 +31,9 @@ from .rates import RecombinationDistribution
 
 #: counts are stored as int64, so each count and N is at most this.
 MAX_COUNT = 2 ** 63 - 1
+#: the largest float64 below 2**63: float counts are clamped here before the
+#: int64 cast.
+_LAST_FLOAT_COUNT = float(2 ** 63 - 1024)
 
 
 class PopulationState:
@@ -75,7 +78,10 @@ class PopulationState:
     ) -> "PopulationState":
         """Population of size N approximating w.
 
-        mode 'round' uses largest-remainder rounding of N*w (deterministic);
+        mode 'round' uses largest-remainder rounding of N*w (deterministic)
+        and returns exactly N individuals: where float rounding past 2**53
+        gains or loses some, they are settled by remainder over the types
+        of positive weight;
         mode 'multinomial' draws N individuals iid from w with the package
         RNG, reproducible from the seed.
         """
@@ -89,11 +95,28 @@ class PopulationState:
         probs = weights / total
         if mode == "round":
             scaled = probs * N
-            base = np.floor(scaled).astype(np.int64)
-            short = N - int(base.sum())
-            if short > 0:
-                order = np.argsort(-(scaled - base), kind="stable")
+            floors = np.floor(np.minimum(scaled, _LAST_FLOAT_COUNT))
+            base = floors.astype(np.int64)
+            remainder = scaled - floors
+            short = N - sum(base.tolist())
+            if 0 < short <= base.size:
+                order = np.argsort(-remainder, kind="stable")
                 base[order[:short]] += 1
+            elif short > 0:  # float rounding past 2**53 lost whole individuals
+                live = np.flatnonzero(probs > 0)
+                live = live[np.argsort(-remainder[live], kind="stable")]
+                whole, extra = divmod(short, live.size)
+                base[live] += whole
+                base[live[:extra]] += 1
+            while short < 0:  # it counted too many: take back from the smallest remainders
+                live = np.flatnonzero(base > 0)
+                live = live[np.argsort(remainder[live], kind="stable")]
+                whole, extra = divmod(-short, live.size)
+                take = np.full(live.size, whole, dtype=np.int64)
+                take[:extra] += 1
+                take = np.minimum(take, base[live])
+                base[live] -= take
+                short += sum(take.tolist())
             return cls(w.space, base)
         if mode == "multinomial":
             u = _kernels.stream_uniforms(seed, 0, N)

@@ -8,6 +8,10 @@ lies inside a block of ``b``; the meet is the coarsest common refinement.
 
 The exact-lattice code uses the *mask state* ``tuple(p.as_masks())``: block
 bitmasks (bit i: the i-th ground site) in ``Partition.blocks`` order.
+``PartitionIndex`` orders mask states by block count, then canonical form;
+it indexes either the whole lattice (``PartitionIndex(ground)``, capped at
+``DEFAULT_SITE_CAP`` sites) or a given set of states
+(``PartitionIndex.from_states``, e.g. the states a model reaches).
 """
 
 from __future__ import annotations
@@ -241,6 +245,21 @@ def mask_state(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(masks, key=_lowest_bit))
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _block_key(mask: int) -> bytes:
+    """A block's positions, each plus one as two big-endian bytes, then a
+    zero pair: these bytes compare as the position tuples do."""
+    positions = (i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    return b"".join(p.to_bytes(2, "big") for p in positions) + b"\0\0"
+
+
+def _state_key(state: tuple[int, ...]) -> tuple[int, bytes]:
+    """Sorts mask states as ``Partition.sort_key`` sorts their partitions,
+    without building them: positions in the sorted ground set order blocks
+    as their sites do."""
+    return (len(state), b"".join(map(_block_key, state)))
+
+
 def count_label_rows(
     rows: np.ndarray, ground: tuple[int, ...]
 ) -> tuple[list[Partition], np.ndarray, np.ndarray]:
@@ -320,10 +339,17 @@ def two_block_partitions(ground: Iterable[int]) -> list[Partition]:
 
     Enumerated directly from the 2^(k-1)-1 proper subsets containing the
     smallest site, so the full lattice never needs to be materialized.
+    The partitions are shared with every earlier call on the same ground
+    set (the last 16 are kept), so models built on it share their keys.
     """
     items = sorted(ground)
     if len(items) < 2:
         return []
+    return list(_two_block_partitions(Partition.one_block(items).ground))
+
+
+@functools.lru_cache(maxsize=16)
+def _two_block_partitions(items: tuple[int, ...]) -> tuple[Partition, ...]:
     first, rest = items[0], items[1:]
     out = []
     for take in range(2 ** len(rest) - 1):
@@ -331,21 +357,24 @@ def two_block_partitions(ground: Iterable[int]) -> list[Partition]:
         b2 = [s for i, s in enumerate(rest) if not (take >> i) & 1]
         out.append(Partition([b1, b2]))
     out.sort(key=Partition.sort_key)
-    return out
+    return tuple(out)
 
 
 class PartitionIndex:
-    """All partitions of a ground set in a refinement-compatible order.
+    """Partitions of a ground set in a refinement-compatible order.
 
     The order is block count ascending with lexicographic tie-break on the
     canonical form; strict refinement strictly increases the block count,
     so any matrix whose entries point from coarser to finer partitions is
     triangular with respect to this index.  ``states`` holds the mask state
     of each partition and ``position`` maps a mask state to its index.
-    The exact routes share one index per ground set: see :func:`shared_index`.
+    ``PartitionIndex(ground)`` holds every partition (the lattice; the
+    exact routes share one per ground set, see :func:`shared_index`);
+    :meth:`from_states` holds a given set, such as a model's reachable
+    states, and builds its ``partitions`` on first use.
     """
 
-    __slots__ = ("ground", "partitions", "states", "position")
+    __slots__ = ("ground", "_partitions", "states", "position")
 
     def __init__(self, ground: Iterable[int], site_cap: int = DEFAULT_SITE_CAP):
         self.ground = tuple(sorted(ground))
@@ -358,14 +387,35 @@ class PartitionIndex:
                 f"(raise site_cap explicitly if you really want this)"
             )
         plist = sorted(all_partitions(self.ground), key=Partition.sort_key)
-        self.partitions: tuple[Partition, ...] = tuple(plist)
+        self._partitions: tuple[Partition, ...] | None = tuple(plist)
         self.states: tuple[tuple[int, ...], ...] = tuple(tuple(p.as_masks()) for p in plist)
         self.position: Mapping[tuple[int, ...], int] = MappingProxyType(
             {s: i for i, s in enumerate(self.states)}
         )
 
+    @classmethod
+    def from_states(
+        cls, ground: Iterable[int], states: Iterable[tuple[int, ...]]
+    ) -> "PartitionIndex":
+        """The index of the given mask states of partitions of `ground`,
+        sorted into index order; no site cap."""
+        index = cls.__new__(cls)
+        index.ground = tuple(sorted(ground))
+        if not index.ground:
+            raise DomainError("ground set must be nonempty")
+        index._partitions = None
+        index.states = tuple(sorted(states, key=_state_key))
+        index.position = MappingProxyType({s: i for i, s in enumerate(index.states)})
+        return index
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        if self._partitions is None:
+            self._partitions = tuple(Partition.from_masks(s, self.ground) for s in self.states)
+        return self._partitions
+
     def __len__(self) -> int:
-        return len(self.partitions)
+        return len(self.states)
 
     def __iter__(self) -> Iterator[Partition]:
         return iter(self.partitions)
@@ -376,7 +426,10 @@ class PartitionIndex:
     def index_of(self, p: Partition) -> int:
         if p.ground != self.ground:
             raise DomainError(f"{p.to_text()} is not a partition of {self.ground}")
-        return self.position[tuple(p.as_masks())]
+        i = self.position.get(tuple(p.as_masks()))
+        if i is None:
+            raise DomainError(f"{p.to_text()} is not a state of this index")
+        return i
 
     @property
     def one(self) -> Partition:

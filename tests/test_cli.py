@@ -11,6 +11,7 @@ import pytest
 
 from recomb import (
     Partition,
+    RecombinationDistribution,
     build_generator,
     coefficients_semigroup,
     solve_exact,
@@ -200,8 +201,13 @@ def configs(tmp_path_factory):
     }
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*argv, env_extra=None):
+    """Run ``python -m recomb`` on this checkout's sources."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -571,3 +577,42 @@ def test_verbose_logging_flag(configs, tmp_path):
     )
     assert res.returncode == 0
     assert "recursion route skipped" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("solve-exact", "model"), ("coefficients", "model"), ("crosscheck", "cross")],
+)
+def test_info_logging_explains_the_exact_route_and_leaves_results_alone(
+    configs, tmp_path, command, config
+):
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    plain = run_cli(command, "--config", configs[config], "--out", str(quiet),
+                    env_extra={"RECOMB_LOG": "WARNING"})
+    logged = run_cli(command, "--config", configs[config], "--out", str(loud),
+                     env_extra={"RECOMB_LOG": "info"})
+    assert plain.returncode == logged.returncode == 0, logged.stderr
+    assert "exact route" not in plain.stderr
+    # three sites, all five partitions reached: 6 splits plus 5 diagonals
+    assert ("exact route semigroup on 3 sites: 5 reachable states, "
+            "11 stored generator entries") in logged.stderr
+    if command == "crosscheck":
+        assert "exact route recursion on 3 sites: 5 reachable states" in logged.stderr
+    names = sorted(os.listdir(quiet))
+    assert names and names == sorted(os.listdir(loud))
+    for name in names:
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes(), name
+
+
+def test_coefficients_past_the_lattice_cap_list_the_reachable_partitions(tmp_path):
+    d = RecombinationDistribution.single_crossover([0.1 + 0.05 * k for k in range(11)])
+    cfg = tmp_path / "crossover12.json"
+    cfg.write_text(json.dumps({"recombination": d.to_config(), "run": {"t": 1.0}}))
+    res = run_cli("coefficients", "--config", str(cfg), "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    header, rows = read_csv(tmp_path / "coefficients.csv")
+    assert header == ["partition", "a_t"] and len(rows) == 2048
+    listed = [Partition.from_text(text) for text, _ in rows]
+    assert len(set(listed)) == 2048 and all(p.is_interval() for p in listed)
+    assert listed == sorted(listed, key=Partition.sort_key)
+    assert abs(sum(float(v) for _, v in rows) - 1.0) <= 1e-12

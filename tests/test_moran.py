@@ -70,6 +70,52 @@ def test_from_distribution_round_mode(w0_3):
     assert z7.N == 7
 
 
+def _old_round(w, N):
+    """Largest-remainder rounding in float64 as first written: exact up to
+    2**53, but it can miss or overshoot N past that."""
+    scaled = w.to_array() / w.to_array().sum() * N
+    base = np.floor(scaled).astype(np.int64)
+    short = N - int(base.sum())
+    if short > 0:
+        base[np.argsort(-(scaled - base), kind="stable")[:short]] += 1
+    return base
+
+
+@pytest.mark.parametrize("N", [2 ** 60 + 1, 2 ** 62 + 3, 10 ** 18 + 7, 2 ** 63 - 1])
+def test_from_distribution_round_mode_is_exact_past_float_precision(N):
+    space = TypeSpace([2, 2])
+    w = TypeDistribution.from_pairs(
+        space, [((0, 0), 0.1), ((0, 1), 0.2), ((1, 0), 0.3), ((1, 1), 0.4)]
+    )
+    z = PopulationState.from_distribution(w, N)
+    assert z.N == N and sum(z.counts.tolist()) == N
+    assert np.all(z.counts > 0)
+    shares = [c / N for c in z.counts.tolist()]
+    assert max(abs(a - b) for a, b in zip(shares, (0.1, 0.2, 0.3, 0.4))) <= 1e-15
+
+
+def test_from_distribution_round_mode_dirac_at_the_int64_bound():
+    space = TypeSpace([2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = PopulationState.from_distribution(TypeDistribution.dirac(space, (1, 0)), 2 ** 63 - 1)
+    assert z.count((1, 0)) == 2 ** 63 - 1 and z.N == 2 ** 63 - 1
+
+
+def test_from_distribution_round_mode_keeps_every_exact_rounding():
+    # wherever float rounding already gave N individuals, the counts stay
+    rng = np.random.default_rng(11)
+    space = TypeSpace([3, 2, 2])
+    for trial in range(200):
+        raw = rng.random(space.cardinality) * (rng.random(space.cardinality) < 0.6)
+        raw[trial % space.cardinality] += 0.5
+        w = TypeDistribution._from_dense(space, raw / raw.sum())
+        N = int(rng.choice([1, 7, 1000, 10 ** 6 + 3, 2 ** 40 + 5, 2 ** 53 - 1]))
+        old = _old_round(w, N)
+        if sum(old.tolist()) == N:
+            assert PopulationState.from_distribution(w, N).counts.tolist() == old.tolist()
+
+
 def test_from_distribution_multinomial_mode(w0_3, space3):
     z = PopulationState.from_distribution(w0_3, 200, mode="multinomial", seed=5)
     assert z.N == 200

@@ -108,6 +108,15 @@ def test_two_block_partitions_count(n):
     assert len(set(tb)) == len(tb)
 
 
+def test_two_block_partitions_are_shared_per_ground_set():
+    first = two_block_partitions((1, 2, 3, 4))
+    again = two_block_partitions([4, 3, 2, 1])
+    assert again == first and again is not first
+    assert all(a is b for a, b in zip(first, again))
+    with pytest.raises(DomainError):  # sites are still checked on a shared ground
+        two_block_partitions([1.0, 2, 3, 4])
+
+
 def test_refinements_matches_brute_force_n4():
     ground = (1, 2, 3, 4)
     universe = list(all_partitions(ground))

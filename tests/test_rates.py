@@ -127,6 +127,9 @@ def test_single_crossover_constructor():
         assert d.cut_rate(k) == pytest.approx(rho, rel=1e-15)
         assert d.rate(cut_partition(4, k)) == pytest.approx(rho, rel=1e-15)
     assert d.mu == pytest.approx(2.1, rel=1e-15)
+    # models on the same sites share their cut partitions
+    other = RecombinationDistribution.single_crossover([0.5, 0.5, 0.5])
+    assert all(a is b for a, b in zip(d.entries, other.entries))
     with pytest.raises(DomainError):
         RecombinationDistribution.single_crossover([])
 
