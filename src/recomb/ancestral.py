@@ -15,12 +15,13 @@ Plus the discrete-time transition matrix and its power iteration.
 
 The generator, the discrete matrix and ``PsiTheta`` run on mask states
 (see :mod:`.partitions`) with rates from ``RecombinationDistribution``'s
-split table, refinement step ``steps`` and ``exit_rate``; ``PsiTheta``
+split table, refinement step ``children`` and ``exit_rate``; ``PsiTheta``
 takes each subset's reachable states from its merge tables (one per split).
-The exact routes index the states the model reaches from the one-block
-partition (``RecombinationDistribution.reachable``); ``on_output_index``
-puts their results on the whole lattice (``shared_index``) up to
-``DEFAULT_SITE_CAP`` sites and leaves them on the reachable states above.
+The semigroup and single-crossover routes index the states the model
+reaches from the one-block partition (``RecombinationDistribution.walk``);
+``on_output_index`` puts their results on the whole lattice
+(``shared_index``) up to ``DEFAULT_SITE_CAP`` sites and leaves them on the
+reachable states above.
 ``Partition`` objects are converted at the edge only: by ``PartitionIndex``,
 ``exit_rate`` and ``PsiTheta.psi``/``theta``/``ground_table``.
 ``PartitionMatrix`` stores sorted COO arrays; the semigroup and discrete
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import _kernels
 from .errors import (
-    LAST_REPLICATE, DomainError, NonGenericRatesError, check_count, check_time,
+    LAST_REPLICATE, DomainError, NonGenericRatesError, check_count, check_reachable, check_time,
 )
 from .partitions import (
     DEFAULT_SITE_CAP,
@@ -182,7 +183,9 @@ def exit_rate(d: RecombinationDistribution, a: Partition) -> float:
     return d.exit_rate(tuple(a.as_masks()))
 
 
-def build_generator(d: RecombinationDistribution, index: PartitionIndex) -> PartitionMatrix:
+def build_generator(
+    d: RecombinationDistribution, index: PartitionIndex, steps: Mapping | None = None
+) -> PartitionMatrix:
     """Markov generator of the refinement process on the states of `index`.
 
     From state A, each block independently splits into an unordered pair
@@ -191,7 +194,9 @@ def build_generator(d: RecombinationDistribution, index: PartitionIndex) -> Part
     partitions, so the matrix is triangular in index order.  Every row
     stores its diagonal entry, -0.0 on states that never split.  The index
     must hold every state its states step to: the lattice, or the model's
-    ``reachable()`` states.
+    reachable states.  `steps` maps each state to its ``(child, rate)``
+    steps as ``d.walk()`` returns them; without it ``d.children`` computes
+    them.
     """
     if index.ground != d.ground:
         raise DomainError(f"index ground {index.ground} does not match {d.ground}")
@@ -202,7 +207,7 @@ def build_generator(d: RecombinationDistribution, index: PartitionIndex) -> Part
     try:
         for i, state in enumerate(index.states):
             total = 0.0
-            for child, rate in d.steps(state):
+            for child, rate in d.children(state) if steps is None else steps[state]:
                 rows.append(i)
                 cols.append(position[child])
                 data.append(rate)
@@ -357,17 +362,16 @@ class PsiTheta:
     union and keys the weight loop.  Distinct exit rates are required over
     that reachable set (per subset), not the whole lattice.
     Partitions outside it may tie freely: their weights are identically zero.
-    ``index`` is the lattice up to ``DEFAULT_SITE_CAP`` sites and the
-    model's reachable states above.
+    ``index`` is the lattice, so the recursion refuses past
+    ``DEFAULT_SITE_CAP`` sites: under single crossover its top table alone
+    holds 3^(n-1) pairs.
     """
 
     __slots__ = ("d", "index", "_table", "_exit_rates")
 
     def __init__(self, d: RecombinationDistribution):
         self.d = d
-        self.index = (
-            shared_index(d.ground) if d.n_sites <= DEFAULT_SITE_CAP else d.reachable()
-        )
+        self.index = shared_index(d.ground)
         self._table, self._exit_rates = self._build((1 << d.n_sites) - 1, {})
 
     def psi(self, a: Partition) -> float:
@@ -462,21 +466,29 @@ def coefficients_single_crossover(
     The coefficient of the interval partition with cut set G is the
     product of (1 - e^{-t rho_k}) over cuts in G and e^{-t rho_l} over
     the remaining cuts; every non-interval partition has weight zero.
-    Computed on the model's reachable states, the interval partitions of
-    its cuts, and returned through ``on_output_index``.
+    Computed on the interval partitions whose cuts have positive rates,
+    which are the model's reachable states, listed afresh so that nothing
+    stays on the model; returned through ``on_output_index``.
     """
     check_time(t)
     if not d.is_single_crossover():
         raise DomainError(
             "not a single-crossover model: support contains a non-interval split"
         )
-    index = d.reachable()
-    survive = [math.exp(-t * d.cut_rate(k)) for k in range(1, d.n_sites)]
+    n = d.n_sites
+    cuts = sorted(a.blocks[0][-1] for a in d.entries)
+    check_reachable(n, 2 ** len(cuts))
+    states = []
+    for chosen in itertools.product((False, True), repeat=len(cuts)):
+        bounds = [0, *(k for k, on in zip(cuts, chosen) if on), n]
+        states.append(tuple((1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])))
+    index = PartitionIndex.from_states(d.ground, states)
+    survive = [math.exp(-t * d.cut_rate(k)) for k in range(1, n)]
     out = np.zeros(len(index))
     for i, state in enumerate(index.states):
-        cuts = {m.bit_length() for m in state}  # block maxima: the cuts and n
+        ends = {m.bit_length() for m in state}  # block maxima: the cuts and n
         out[i] = math.prod(
-            1.0 - s if k in cuts else s for k, s in enumerate(survive, start=1)
+            1.0 - s if k in ends else s for k, s in enumerate(survive, start=1)
         )
     return on_output_index([CoefficientVector(index, out)])[0]
 

@@ -231,10 +231,13 @@ def exact_coefficients(
     """a_t at each of `times` by one exact route, built once for all times
     (one generator for ``semigroup``, one ``PsiTheta`` for ``recursion``).
 
-    Every route works on the states the model reaches from the one-block
-    partition; the vectors come back on the whole lattice up to
-    ``DEFAULT_SITE_CAP`` sites and on the reachable states above (see
-    ``on_output_index``).  The route and its sizes are logged at INFO.
+    The semigroup and single-crossover routes work on the states the model
+    reaches from the one-block partition (the semigroup's generator reads
+    the steps of one ``walk``, dropped on return); their vectors come back
+    on the whole lattice up to ``DEFAULT_SITE_CAP`` sites and on the
+    reachable states above (see ``on_output_index``).  The recursion
+    refuses past ``DEFAULT_SITE_CAP`` sites.  The route and its sizes are
+    logged at INFO.
     """
     times = [float(t) for t in times]
     if method not in EXACT_METHODS:
@@ -243,7 +246,8 @@ def exact_coefficients(
         check_time(t)
     entries = 0
     if method == "semigroup":
-        q = build_generator(d, d.reachable())
+        index, steps = d.walk()
+        q = build_generator(d, index, steps)
         reached, entries = len(q.index), len(q.data)
         out = on_output_index([coefficients_semigroup(q, t) for t in times])
     elif method == "recursion":
@@ -252,7 +256,7 @@ def exact_coefficients(
         out = [coefficients_recursion(pt, t) for t in times]
     else:
         out = [coefficients_single_crossover(d, t) for t in times]
-        reached = len(d.reachable())
+        reached = 2 ** len(d.entries)  # one entry per cut
     log.info(
         "exact route %s on %d sites: %d reachable states, %d stored generator entries",
         method, d.n_sites, reached, entries,

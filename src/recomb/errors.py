@@ -88,6 +88,20 @@ def check_grid(t_grid, from_zero: bool = False) -> list[float]:
 #: of replicates ends at this index at the latest.
 LAST_REPLICATE = 2 ** 64 - 1
 
+#: the exact routes refuse a model whose one-block partition reaches more
+#: states than this: the single-crossover lattice of 16 sites.
+MAX_REACHABLE = 1 << 15
+
+
+def check_reachable(n_sites: int, count: int) -> None:
+    """A SizeCapError once a model on `n_sites` sites is seen to reach
+    `count` > ``MAX_REACHABLE`` states."""
+    if count > MAX_REACHABLE:
+        raise SizeCapError(
+            f"the one-block partition of {n_sites} sites reaches at least {count} "
+            f"states, past the cap of {MAX_REACHABLE} reachable states"
+        )
+
 
 def check_count(value, what: str, minimum: int = 1, maximum: int | None = None) -> int:
     """`value` as an int, else a DomainError: a whole number of at least

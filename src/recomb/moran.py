@@ -79,9 +79,9 @@ class PopulationState:
         """Population of size N approximating w.
 
         mode 'round' uses largest-remainder rounding of N*w (deterministic)
-        and returns exactly N individuals: where float rounding past 2**53
-        gains or loses some, they are settled by remainder over the types
-        of positive weight;
+        over the types of positive weight and returns exactly N
+        individuals, also where float rounding past 2**53 gains or loses
+        whole ones;
         mode 'multinomial' draws N individuals iid from w with the package
         RNG, reproducible from the seed.
         """
@@ -99,10 +99,7 @@ class PopulationState:
             base = floors.astype(np.int64)
             remainder = scaled - floors
             short = N - sum(base.tolist())
-            if 0 < short <= base.size:
-                order = np.argsort(-remainder, kind="stable")
-                base[order[:short]] += 1
-            elif short > 0:  # float rounding past 2**53 lost whole individuals
+            if short > 0:  # past 2**53 this can exceed the number of types
                 live = np.flatnonzero(probs > 0)
                 live = live[np.argsort(-remainder[live], kind="stable")]
                 whole, extra = divmod(short, live.size)

@@ -11,40 +11,29 @@ sparse models (e.g. single crossover, n-1 entries) cheap.
 
 The lattice layer works on site bitmasks (bit i: the i-th ground site) and
 mask states (see :mod:`.partitions`): ``split_table`` memoizes the marginal
-rates per subset mask, ``children`` is the refinement step on it (``steps``
-reads the ones recorded by the walk of ``reachable``), ``reachable`` is the
-one owner of the states the refinement process visits from the one-block
-partition, and ``exit_rate`` is the one owner of exit rates.  ``block_split_rates``,
-``split_rate`` and ``marginal_rate`` convert site tuples and ``Partition``
-objects at the edge and read the same table.
+rates per subset mask, ``children`` is the refinement step on it, ``walk``
+(memoized as ``reachable``) is the one owner of the states the refinement
+process visits from the one-block partition, and ``exit_rate`` is the one
+owner of exit rates.  ``block_split_rates``, ``split_rate`` and
+``marginal_rate`` convert site tuples and ``Partition`` objects at the edge
+and read the same table.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SizeCapError, config_real
+from .errors import ConfigError, DomainError, check_reachable, config_real
 from .partitions import (
-    DEFAULT_SITE_CAP, Partition, PartitionIndex, cut_partition, shared_index,
+    DEFAULT_SITE_CAP, Partition, PartitionIndex, bell_number, cut_partition, shared_index,
 )
 
 _SUM_TOL = 1e-9
-#: the exact routes refuse a model whose one-block partition reaches more
-#: states than this: the single-crossover lattice of 16 sites.
-_MAX_REACHABLE = 1 << 15
-
-
-def _past_the_cap(n: int, count: int) -> SizeCapError:
-    return SizeCapError(
-        f"the one-block partition of {n} sites reaches at least {count} states, "
-        f"past the cap of {_MAX_REACHABLE} reachable states"
-    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -54,21 +43,10 @@ def _cuts(n: int) -> tuple[Partition, ...]:
     return tuple(cut_partition(n, k) for k in range(1, n))
 
 
-@functools.lru_cache(maxsize=8)
-def _interval_index(n: int, cuts: tuple[int, ...]) -> PartitionIndex:
-    """The interval partitions of 1..n whose cuts lie in `cuts`."""
-    states = []
-    for chosen in itertools.product((False, True), repeat=len(cuts)):
-        bounds = [0, *(c for c, on in zip(cuts, chosen) if on), n]
-        states.append(tuple((1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])))
-    return PartitionIndex.from_states(range(1, n + 1), states)
-
-
 class RecombinationDistribution:
     """Event rate mu plus probabilities on two-block site partitions."""
 
-    __slots__ = ("ground", "mu", "entries", "style", "_masks", "_tables", "_steps",
-                 "_reachable")
+    __slots__ = ("ground", "mu", "entries", "style", "_masks", "_tables", "_reachable")
 
     def __init__(
         self,
@@ -114,7 +92,6 @@ class RecombinationDistribution:
         # block-1 mask of each entry, in entries order
         self._masks = tuple(a.as_masks()[0] for a in clean)
         self._tables: dict[int, tuple[float, tuple[tuple[int, int, float], ...]]] = {}
-        self._steps: dict[tuple[int, ...], tuple[tuple[tuple[int, ...], float], ...]] = {}
         self._reachable: PartitionIndex | None = None
 
     # -- constructors ------------------------------------------------------
@@ -254,56 +231,42 @@ class RecombinationDistribution:
                 j = bisect.bisect(lows, p2 & -p2, i + 1) - i - 1
                 yield head + (p1,) + tail[:j] + (p2,) + tail[j:], rate
 
-    def steps(self, state: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], float], ...]:
-        """``children(state)`` as a tuple: the one the walk of ``reachable``
-        recorded, else computed afresh and not kept."""
-        out = self._steps.get(state)
-        return tuple(self.children(state)) if out is None else out
-
     def reachable(self) -> PartitionIndex:
-        """The states reachable from the one-block partition, memoized.
-
-        Indexed in ``PartitionIndex`` order, so a model that reaches every
-        partition gets the lattice's index.  Up to ``DEFAULT_SITE_CAP``
-        sites a model with every two-block split reaches the lattice and
-        gets ``shared_index``; a single-crossover model reaches the interval
-        partitions of its cuts (a cut splits an interval into intervals),
-        which are listed directly and shared by every model with those
-        cuts.  Any other model is walked breadth-first from the one-block
-        state, and its ``steps`` are recorded for ``build_generator``.
-        Raises ``SizeCapError`` past ``_MAX_REACHABLE`` states.
-        """
+        """The states reachable from the one-block partition: the index of
+        ``walk``, memoized."""
         if self._reachable is None:
-            n = self.n_sites
-            if n <= DEFAULT_SITE_CAP and len(self.entries) == 2 ** (n - 1) - 1:
-                self._reachable = shared_index(self.ground)
-            elif self.is_single_crossover():
-                cuts = tuple(sorted(a.blocks[0][-1] for a in self.entries))
-                if 2 ** len(cuts) > _MAX_REACHABLE:
-                    raise _past_the_cap(n, 2 ** len(cuts))
-                self._reachable = _interval_index(n, cuts)
-            else:
-                self._reachable = self._walk()
+            self.walk()
         return self._reachable
 
-    def _walk(self) -> PartitionIndex:
+    def walk(self) -> tuple[PartitionIndex, dict[tuple[int, ...], tuple]]:
+        """Breadth-first walk of ``children`` from the one-block state.
+
+        Returns the reachable states in ``PartitionIndex`` order, memoized
+        as ``reachable()`` (``shared_index`` when they are the whole lattice
+        of at most ``DEFAULT_SITE_CAP`` sites), and each state's tuple of
+        ``(child, rate)`` steps, which the model does not keep: hand them
+        to ``build_generator``.  Raises ``SizeCapError`` at the first state
+        past ``errors.MAX_REACHABLE``.
+        """
         start = ((1 << self.n_sites) - 1,)
         seen = {start}
         frontier = [start]
-        recorded = {}
+        steps = {}
         while frontier:
             later = []
             for state in frontier:
-                recorded[state] = steps = tuple(self.children(state))
-                for child, _ in steps:
+                steps[state] = out = tuple(self.children(state))
+                for child, _ in out:
                     if child not in seen:
                         seen.add(child)
                         later.append(child)
-                        if len(seen) > _MAX_REACHABLE:
-                            raise _past_the_cap(self.n_sites, len(seen))
+                        check_reachable(self.n_sites, len(seen))
             frontier = later
-        self._steps = recorded
-        return PartitionIndex.from_states(self.ground, seen)
+        if self.n_sites <= DEFAULT_SITE_CAP and len(seen) == bell_number(self.n_sites):
+            self._reachable = shared_index(self.ground)
+        else:
+            self._reachable = PartitionIndex.from_states(self.ground, seen)
+        return self._reachable, steps
 
     def marginal_rate(self, u: Iterable[int], b: Partition) -> float:
         """Sum of rho(A) over all events A whose restriction to u equals b."""

@@ -616,3 +616,15 @@ def test_coefficients_past_the_lattice_cap_list_the_reachable_partitions(tmp_pat
     assert len(set(listed)) == 2048 and all(p.is_interval() for p in listed)
     assert listed == sorted(listed, key=Partition.sort_key)
     assert abs(sum(float(v) for _, v in rows) - 1.0) <= 1e-12
+
+
+def test_crosscheck_past_the_lattice_cap_is_refused_by_the_recursion(tmp_path):
+    d = RecombinationDistribution.single_crossover([0.1 + 0.05 * k for k in range(15)])
+    cfg = tmp_path / "crossover16.json"
+    cfg.write_text(json.dumps({
+        "recombination": d.to_config(), "run": {"mode": "crosscheck", "t_grid": [1.0]},
+    }))
+    res = run_cli("crosscheck", "--config", str(cfg), "--out", str(tmp_path))
+    assert res.returncode == 3
+    assert "16 sites means Bell(16)" in res.stderr and "cap is 8 sites" in res.stderr
+    assert not (tmp_path / "crosscheck.json").exists()

@@ -71,8 +71,8 @@ def test_from_distribution_round_mode(w0_3):
 
 
 def _old_round(w, N):
-    """Largest-remainder rounding in float64 as first written: exact up to
-    2**53, but it can miss or overshoot N past that."""
+    """Largest-remainder rounding in float64 as first written: near and past
+    2**53 it can miss or overshoot N, or give a type of weight 0 someone."""
     scaled = w.to_array() / w.to_array().sum() * N
     base = np.floor(scaled).astype(np.int64)
     short = N - int(base.sum())
@@ -94,16 +94,20 @@ def test_from_distribution_round_mode_is_exact_past_float_precision(N):
     assert max(abs(a - b) for a, b in zip(shares, (0.1, 0.2, 0.3, 0.4))) <= 1e-15
 
 
-def test_from_distribution_round_mode_dirac_at_the_int64_bound():
+@pytest.mark.parametrize("N", [2 ** 60 + 1, 2 ** 63 - 1])
+def test_from_distribution_round_mode_dirac_past_float_precision(N):
+    # every individual goes to the one type of positive weight, also those
+    # float rounding loses (1 at 2**60 + 1, 1023 at the int64 bound)
     space = TypeSpace([2, 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = PopulationState.from_distribution(TypeDistribution.dirac(space, (1, 0)), 2 ** 63 - 1)
-    assert z.count((1, 0)) == 2 ** 63 - 1 and z.N == 2 ** 63 - 1
+        z = PopulationState.from_distribution(TypeDistribution.dirac(space, (1, 0)), N)
+    assert z.count((1, 0)) == N and z.N == N
 
 
 def test_from_distribution_round_mode_keeps_every_exact_rounding():
-    # wherever float rounding already gave N individuals, the counts stay
+    # wherever float rounding already gave N individuals, none of them to a
+    # type of weight 0, the counts stay; types of weight 0 get nobody
     rng = np.random.default_rng(11)
     space = TypeSpace([3, 2, 2])
     for trial in range(200):
@@ -112,8 +116,10 @@ def test_from_distribution_round_mode_keeps_every_exact_rounding():
         w = TypeDistribution._from_dense(space, raw / raw.sum())
         N = int(rng.choice([1, 7, 1000, 10 ** 6 + 3, 2 ** 40 + 5, 2 ** 53 - 1]))
         old = _old_round(w, N)
-        if sum(old.tolist()) == N:
-            assert PopulationState.from_distribution(w, N).counts.tolist() == old.tolist()
+        counts = PopulationState.from_distribution(w, N).counts
+        assert not np.any(counts[raw == 0])
+        if sum(old.tolist()) == N and not np.any(old[raw == 0]):
+            assert counts.tolist() == old.tolist()
 
 
 def test_from_distribution_multinomial_mode(w0_3, space3):

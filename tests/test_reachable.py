@@ -8,6 +8,8 @@ lattice, and past the 8-site lattice the semigroup must agree with the
 closed form and with the closed forms of its 8-site marginal models.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -104,22 +106,30 @@ def test_reachable_states_are_the_reference_closure(make):
         assert all(p.is_interval() for p in index.partitions)
 
 
-def test_the_generator_reads_the_steps_the_walk_recorded(monkeypatch):
-    walked = sparse_model()
-    index = walked.reachable()
+def test_the_semigroup_route_steps_each_state_once_and_keeps_no_steps(monkeypatch):
     fresh = sparse_model()
-    want = build_generator(fresh, index)
+    want = build_generator(fresh, fresh.reachable())
 
+    calls = Counter()
     children = RecombinationDistribution.children
 
-    def once(self, state):
-        assert self is not walked, "children computed again"
+    def counted(self, state):
+        calls[state] += 1
         return children(self, state)
 
-    monkeypatch.setattr(RecombinationDistribution, "children", once)
-    got = build_generator(walked, index)
+    monkeypatch.setattr(RecombinationDistribution, "children", counted)
+    d = sparse_model()
+    index, steps = d.walk()
+    got = build_generator(d, index, steps)
+    assert sorted(calls) == sorted(index.states) and set(calls.values()) == {1}
     for name in ("rows", "cols", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert d.reachable() is index
+    assert all(getattr(d, name) is not steps for name in d.__slots__)
+
+    calls.clear()
+    exact_coefficients(sparse_model(), TIMES, "semigroup")
+    assert len(calls) == len(index) and set(calls.values()) == {1}
 
 
 def test_a_model_reaching_every_partition_gets_the_lattice_order():
@@ -194,7 +204,7 @@ def past_the_cap():
 def test_semigroup_matches_the_closed_form_past_the_lattice_cap(past_the_cap, n):
     d, semigroup, closed = past_the_cap[n]
     for a, b in zip(semigroup, closed):
-        assert a.index is b.index is d.reachable()
+        assert a.index is d.reachable() and b.index.states == a.index.states
         assert len(a.index) == 2 ** (n - 1)
         assert abs(a.total() - 1.0) <= 1e-12
         assert np.max(np.abs(a.values - b.values)) <= 1e-10
@@ -229,19 +239,43 @@ def test_sixteen_site_semigroup_restricts_to_its_marginal_closed_forms(past_the_
 
 
 def test_past_the_reachable_cap_is_refused_with_the_count():
-    # 17 sites of single crossover reach 2**16 interval partitions
+    # 17 sites of single crossover reach 2**16 interval partitions: the walk
+    # stops at the first state past the cap, the closed form counts them
     d = RecombinationDistribution.single_crossover([0.5] * 16)
-    for method in ("semigroup", "single_crossover"):
+    for method, count in (("semigroup", 32769), ("single_crossover", 65536)):
         with pytest.raises(SizeCapError) as err:
             exact_coefficients(d, [1.0], method)
         message = str(err.value)
-        assert "at least 65536 states" in message and "32768" in message
+        assert f"at least {count} states" in message and "32768" in message
         assert "17 sites" in message
-    # splitting one site off at a time reaches 2**16 - 16 states of 16 sites;
-    # the walk stops at the first state past the cap
+    # splitting one site off at a time reaches 2**16 - 16 states of 16 sites
     ground = range(1, 17)
     single = RecombinationDistribution.from_rates(
         ground, {Partition([[s], [r for r in ground if r != s]]): 1.0 for s in ground}
     )
     with pytest.raises(SizeCapError, match="16 sites reaches at least 32769 states"):
         single.reachable()
+
+
+def test_the_recursion_refuses_past_the_lattice_cap_before_any_table(monkeypatch):
+    # Under single crossover the recursion's top table alone holds 3^(n-1)
+    # refinement pairs, so it stays on the lattice of at most 8 sites.
+    def refuse(self, u):
+        raise AssertionError("built a split table")
+
+    monkeypatch.setattr(RecombinationDistribution, "split_table", refuse)
+    with pytest.raises(SizeCapError, match="16 sites"):
+        exact_coefficients(crossover_model(16, 3), TIMES, "recursion")
+
+
+def test_the_closed_form_lists_its_states_without_walking_the_model(monkeypatch):
+    # the benchmark's checks and other callers may keep the model; the
+    # closed form leaves neither split tables nor a walk on it
+    def refuse(*args):
+        raise AssertionError("walked the model")
+
+    monkeypatch.setattr(RecombinationDistribution, "split_table", refuse)
+    monkeypatch.setattr(RecombinationDistribution, "walk", refuse)
+    d = crossover_model(10, 1)
+    coeffs = coefficients_single_crossover(d, 1.0)
+    assert len(coeffs.index) == 512 and abs(coeffs.total() - 1.0) <= 1e-12
