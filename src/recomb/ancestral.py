@@ -18,7 +18,8 @@ The generator, the discrete matrix and ``PsiTheta`` run on mask states
 split table, refinement step ``children`` and ``exit_rate``; ``PsiTheta``
 takes each subset's reachable states from its merge tables (one per split).
 The semigroup and single-crossover routes index the states the model
-reaches from the one-block partition (``RecombinationDistribution.walk``);
+reaches from the one-block partition: ``build_generator(d)`` walks them,
+the closed form lists them, and both refuse past ``MAX_REACHABLE``;
 ``on_output_index`` puts their results on the whole lattice
 (``shared_index``) up to ``DEFAULT_SITE_CAP`` sites and leaves them on the
 reachable states above.
@@ -32,13 +33,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from . import _kernels
 from .errors import (
-    LAST_REPLICATE, DomainError, NonGenericRatesError, check_count, check_reachable, check_time,
+    LAST_REPLICATE, DomainError, NonGenericRatesError, SizeCapError, check_count, check_time,
 )
 from .partitions import (
     DEFAULT_SITE_CAP,
@@ -62,6 +63,9 @@ _GENERIC_RTOL = 1e-9
 #: rows of the identity per uniformization pass in ``transition_semigroup``
 #: are chosen so that a pass gathers about this many stored entries.
 _BLOCK_ENTRIES = 1 << 18
+#: the exact routes refuse a model whose one-block partition reaches more
+#: states than this: the single-crossover lattice of 16 sites.
+MAX_REACHABLE = 1 << 15
 
 
 class PartitionMatrix:
@@ -183,8 +187,39 @@ def exit_rate(d: RecombinationDistribution, a: Partition) -> float:
     return d.exit_rate(tuple(a.as_masks()))
 
 
+def check_reachable(n_sites: int, count: int) -> None:
+    """A SizeCapError once a model on `n_sites` sites is seen to reach
+    `count` > ``MAX_REACHABLE`` states."""
+    if count > MAX_REACHABLE:
+        raise SizeCapError(
+            f"the one-block partition of {n_sites} sites reaches at least {count} "
+            f"states, past the cap of {MAX_REACHABLE} reachable states"
+        )
+
+
+def _walk(d: RecombinationDistribution) -> dict[tuple[int, ...], tuple]:
+    """Each state reachable from the one-block state, mapped to its
+    ``(child, rate)`` steps: a breadth-first walk of ``d.children`` that
+    stops at the first state past ``MAX_REACHABLE``."""
+    start = ((1 << d.n_sites) - 1,)
+    seen = {start}
+    frontier = [start]
+    steps = {}
+    while frontier:
+        later = []
+        for state in frontier:
+            steps[state] = out = tuple(d.children(state))
+            for child, _ in out:
+                if child not in seen:
+                    seen.add(child)
+                    later.append(child)
+                    check_reachable(d.n_sites, len(seen))
+        frontier = later
+    return steps
+
+
 def build_generator(
-    d: RecombinationDistribution, index: PartitionIndex, steps: Mapping | None = None
+    d: RecombinationDistribution, index: PartitionIndex | None = None
 ) -> PartitionMatrix:
     """Markov generator of the refinement process on the states of `index`.
 
@@ -193,13 +228,18 @@ def build_generator(
     Nonzero off-diagonals always point from coarser to strictly finer
     partitions, so the matrix is triangular in index order.  Every row
     stores its diagonal entry, -0.0 on states that never split.  The index
-    must hold every state its states step to: the lattice, or the model's
-    reachable states.  `steps` maps each state to its ``(child, rate)``
-    steps as ``d.walk()`` returns them; without it ``d.children`` computes
-    them.
+    must hold every state its states step to, such as the lattice.
+    Without `index`, the states are those the model reaches from the
+    one-block partition (``PartitionIndex.from_states``), found by one walk
+    whose steps are kept until their row is written.
     """
-    if index.ground != d.ground:
+    if index is None:
+        steps = _walk(d)
+        index, step = PartitionIndex.from_states(d.ground, steps), steps.pop
+    elif index.ground != d.ground:
         raise DomainError(f"index ground {index.ground} does not match {d.ground}")
+    else:
+        step = d.children
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
@@ -207,7 +247,7 @@ def build_generator(
     try:
         for i, state in enumerate(index.states):
             total = 0.0
-            for child, rate in d.children(state) if steps is None else steps[state]:
+            for child, rate in step(state):
                 rows.append(i)
                 cols.append(position[child])
                 data.append(rate)
@@ -303,9 +343,9 @@ def coefficients_semigroup(
     """Row `start` of e^{tQ}: the law of the process at time t.
 
     `start` defaults to the index's first state, the one-block partition
-    of the lattice and of ``reachable()``.  Computed as a vector iteration,
-    one sparse step per Poisson term (work proportional to Q's stored
-    entries); never forms the exponential.
+    of the lattice and of the reachable states.  Computed as a vector
+    iteration, one sparse step per Poisson term (work proportional to Q's
+    stored entries); never forms the exponential.
     """
     check_time(t)
     index = q.index
@@ -328,8 +368,6 @@ def on_output_index(vectors: list[CoefficientVector]) -> list[CoefficientVector]
     if len(index.ground) > DEFAULT_SITE_CAP:
         return vectors
     lattice = shared_index(index.ground)
-    if index is lattice:
-        return vectors
     where = np.array([lattice.position[s] for s in index.states], dtype=np.int64)
     out = []
     for v in vectors:

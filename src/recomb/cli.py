@@ -166,12 +166,13 @@ def _run_chunked(fn, total: int, jobs: int):
     """Split a replicate batch into chunks and run them on a thread pool.
 
     Replicate r always draws from the same stream keyed by (seed, r), so
-    the split is invisible in the output.
+    the split is invisible in the output.  At most one thread per CPU
+    runs the chunks, whatever `jobs` asks for.
     """
     pieces = list(_chunks(total, jobs))
     if len(pieces) == 1:
         return [fn(0, total)]
-    with ThreadPoolExecutor(max_workers=len(pieces)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(pieces), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(fn, lo, count) for lo, count in pieces]
         return [f.result() for f in futures]
 
@@ -378,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=int, default=1,
-        help="worker threads for replicate batches (default 1)",
+        help="chunks per replicate batch, run on at most one thread per CPU (default 1)",
     )
     common.add_argument(
         "--tolerance", type=float, default=None,

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .dynamics import EXACT_METHODS
-from .errors import ConfigError, DomainError, SizeCapError, config_real
+from .errors import (
+    ConfigError, DomainError, SizeCapError, config_real, expect_mapping, positive_int,
+    reject_unknown,
+)
 from .measure import TypeDistribution, TypeSpace
 from .rates import RecombinationDistribution
 
@@ -41,26 +44,6 @@ _RUN_FIELDS = (
 )
 
 
-def _expect_mapping(value, path: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{path}: expected an object")
-    return value
-
-
-def _reject_unknown(data: Mapping, allowed: tuple[str, ...], path: str) -> None:
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field")
-
-
-def _positive_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected a positive integer")
-    if value < 1:
-        raise ConfigError(f"{path}: must be >= 1, got {value}")
-    return value
-
-
 @dataclass
 class RunSpec:
     """The run block; modes pick the fields they need."""
@@ -77,7 +60,7 @@ class RunSpec:
 
     @classmethod
     def parse(cls, data: Mapping, path: str = "run") -> "RunSpec":
-        _reject_unknown(data, _RUN_FIELDS, path)
+        reject_unknown(data, _RUN_FIELDS, path)
         spec = cls()
         if "mode" in data:
             if data["mode"] not in MODES:
@@ -104,7 +87,7 @@ class RunSpec:
                 )
             spec.method = data["method"]
         if "n_individuals" in data:
-            spec.n_individuals = _positive_int(
+            spec.n_individuals = positive_int(
                 data["n_individuals"], f"{path}.n_individuals"
             )
         if "population_sizes" in data:
@@ -112,11 +95,11 @@ class RunSpec:
             if not isinstance(raw, list) or not raw:
                 raise ConfigError(f"{path}.population_sizes: expected a nonempty list")
             spec.population_sizes = [
-                _positive_int(v, f"{path}.population_sizes[{i}]")
+                positive_int(v, f"{path}.population_sizes[{i}]")
                 for i, v in enumerate(raw)
             ]
         if "replicates" in data:
-            spec.replicates = _positive_int(data["replicates"], f"{path}.replicates")
+            spec.replicates = positive_int(data["replicates"], f"{path}.replicates")
         if "seed" in data:
             if isinstance(data["seed"], bool) or not isinstance(data["seed"], int):
                 raise ConfigError(f"{path}.seed: expected an integer")
@@ -130,13 +113,13 @@ class RunSpec:
                 raise ConfigError(f"{path}: must not be empty")
             grid = [config_real(v, f"{path}[{i}]") for i, v in enumerate(raw)]
         elif isinstance(raw, Mapping):
-            _reject_unknown(raw, ("start", "stop", "steps"), path)
+            reject_unknown(raw, ("start", "stop", "steps"), path)
             for field in ("start", "stop", "steps"):
                 if field not in raw:
                     raise ConfigError(f"{path}.{field}: required")
             start = config_real(raw["start"], f"{path}.start")
             stop = config_real(raw["stop"], f"{path}.stop")
-            steps = _positive_int(raw["steps"], f"{path}.steps")
+            steps = positive_int(raw["steps"], f"{path}.steps")
             if stop < start:
                 raise ConfigError(f"{path}: stop must be >= start")
             if steps == 1:
@@ -176,18 +159,18 @@ class ModelConfig:
 
     @classmethod
     def parse(cls, data) -> "ModelConfig":
-        top = _expect_mapping(data, "config")
-        _reject_unknown(
+        top = expect_mapping(data, "config")
+        reject_unknown(
             top, ("space", "initial", "recombination", "run", "output"), "config"
         )
         if "recombination" not in top:
             raise ConfigError("config.recombination: required")
         rates = RecombinationDistribution.from_config(
-            _expect_mapping(top["recombination"], "config.recombination"),
+            expect_mapping(top["recombination"], "config.recombination"),
             path="config.recombination",
         )
         run = RunSpec.parse(
-            _expect_mapping(top.get("run", {}), "config.run"), path="config.run"
+            expect_mapping(top.get("run", {}), "config.run"), path="config.run"
         )
         space = None
         if "space" in top:
@@ -199,8 +182,8 @@ class ModelConfig:
             initial = cls._parse_initial(top["initial"], space)
         output_format = None
         if "output" in top:
-            out = _expect_mapping(top["output"], "config.output")
-            _reject_unknown(out, ("format",), "config.output")
+            out = expect_mapping(top["output"], "config.output")
+            reject_unknown(out, ("format",), "config.output")
             if "format" in out:
                 if out["format"] not in ("csv", "json"):
                     raise ConfigError(
@@ -213,15 +196,15 @@ class ModelConfig:
 
     @staticmethod
     def _parse_space(raw, rates: RecombinationDistribution) -> TypeSpace:
-        block = _expect_mapping(raw, "config.space")
-        _reject_unknown(block, ("alphabet_sizes",), "config.space")
+        block = expect_mapping(raw, "config.space")
+        reject_unknown(block, ("alphabet_sizes",), "config.space")
         if "alphabet_sizes" not in block:
             raise ConfigError("config.space.alphabet_sizes: required")
         sizes = block["alphabet_sizes"]
         if not isinstance(sizes, list) or not sizes:
             raise ConfigError("config.space.alphabet_sizes: expected a nonempty list")
         sizes = [
-            _positive_int(v, f"config.space.alphabet_sizes[{i}]")
+            positive_int(v, f"config.space.alphabet_sizes[{i}]")
             for i, v in enumerate(sizes)
         ]
         if len(sizes) != rates.n_sites:
@@ -236,16 +219,16 @@ class ModelConfig:
 
     @staticmethod
     def _parse_initial(raw, space: TypeSpace) -> TypeDistribution:
-        block = _expect_mapping(raw, "config.initial")
+        block = expect_mapping(raw, "config.initial")
         kind = block.get("kind")
         if kind == "uniform":
-            _reject_unknown(block, ("kind",), "config.initial")
+            reject_unknown(block, ("kind",), "config.initial")
             try:
                 return TypeDistribution.uniform(space)
             except SizeCapError as exc:
                 raise ConfigError(f"config.initial: {exc}") from None
         if kind == "dirac":
-            _reject_unknown(block, ("kind", "type"), "config.initial")
+            reject_unknown(block, ("kind", "type"), "config.initial")
             if "type" not in block:
                 raise ConfigError("config.initial.type: required for kind 'dirac'")
             try:
@@ -253,15 +236,15 @@ class ModelConfig:
             except (DomainError, TypeError) as exc:
                 raise ConfigError(f"config.initial.type: {exc}") from None
         if kind == "explicit":
-            _reject_unknown(block, ("kind", "entries"), "config.initial")
+            reject_unknown(block, ("kind", "entries"), "config.initial")
             entries = block.get("entries")
             if not isinstance(entries, list) or not entries:
                 raise ConfigError("config.initial.entries: expected a nonempty list")
             pairs = []
             for i, item in enumerate(entries):
                 ipath = f"config.initial.entries[{i}]"
-                item = _expect_mapping(item, ipath)
-                _reject_unknown(item, ("type", "mass"), ipath)
+                item = expect_mapping(item, ipath)
+                reject_unknown(item, ("type", "mass"), ipath)
                 if "type" not in item or "mass" not in item:
                     raise ConfigError(f"{ipath}: needs both type and mass")
                 pairs.append((item["type"], config_real(item["mass"], f"{ipath}.mass")))

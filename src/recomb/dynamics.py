@@ -112,32 +112,33 @@ class _VectorField:
     Row e of idx1/idx2 sends a flat type index to its marginal bin on
     block 1/block 2 of event e; each event's bins follow the previous
     event's, so all block marginals of a side are one bincount pass.
-    ``probs`` holds r(A) and ``rates`` mu * r(A) per event; callers check
-    the model's sites against the space first.
+    ``probs`` holds r(A) and ``rates`` mu * r(A) per event, in
+    ``event_arrays`` order; callers check the model's sites against the
+    space first.
     """
 
     __slots__ = ("space", "probs", "rates", "idx1", "idx2")
 
     def __init__(self, d: RecombinationDistribution, space: TypeSpace):
-        entries = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
-        K = space.cardinality
-        digits = np.empty((space.n_sites, K), dtype=np.int64)
+        masks, self.probs = d.event_arrays()
+        n, K = space.n_sites, space.cardinality
+        digits = np.empty((n, K), dtype=np.int64)
         flat = np.arange(K, dtype=np.int64)
-        for i in range(space.n_sites):
+        for i in range(n):
             digits[i] = (flat // space.places[i]) % space.alphabet_sizes[i]
-        idx1 = np.zeros((len(entries), K), dtype=np.int64)
-        idx2 = np.zeros((len(entries), K), dtype=np.int64)
-        for side, idx in enumerate((idx1, idx2)):
+        idx1 = np.zeros((len(masks), K), dtype=np.int64)
+        idx2 = np.zeros((len(masks), K), dtype=np.int64)
+        # block 1 is the mask's sites, block 2 the complement's
+        for flip, idx in ((0, idx1), ((1 << n) - 1, idx2)):
             offset = 0
-            for e, (a, _) in enumerate(entries):
-                block = a.blocks[side]
-                sub = space.subspace(block)
+            for e, mask in enumerate(masks.tolist()):
+                block = [i for i in range(n) if (mask ^ flip) >> i & 1]
+                sub = space.subspace(i + 1 for i in block)
                 idx[e] = offset
-                for pos, site in enumerate(block):
-                    idx[e] += digits[site - 1] * sub.places[pos]
+                for pos, i in enumerate(block):
+                    idx[e] += digits[i] * sub.places[pos]
                 offset += sub.cardinality
         self.space = space
-        self.probs = np.array([r for _, r in entries])
         self.rates = self.probs * d.mu
         self.idx1 = idx1
         self.idx2 = idx2
@@ -232,8 +233,8 @@ def exact_coefficients(
     (one generator for ``semigroup``, one ``PsiTheta`` for ``recursion``).
 
     The semigroup and single-crossover routes work on the states the model
-    reaches from the one-block partition (the semigroup's generator reads
-    the steps of one ``walk``, dropped on return); their vectors come back
+    reaches from the one-block partition (the semigroup's generator walks
+    them, and nothing stays on the model); their vectors come back
     on the whole lattice up to ``DEFAULT_SITE_CAP`` sites and on the
     reachable states above (see ``on_output_index``).  The recursion
     refuses past ``DEFAULT_SITE_CAP`` sites.  The route and its sizes are
@@ -246,8 +247,7 @@ def exact_coefficients(
         check_time(t)
     entries = 0
     if method == "semigroup":
-        index, steps = d.walk()
-        q = build_generator(d, index, steps)
+        q = build_generator(d)
         reached, entries = len(q.index), len(q.data)
         out = on_output_index([coefficients_semigroup(q, t) for t in times])
     elif method == "recursion":

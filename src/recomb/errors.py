@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all modules, and one owner for each
-argument rule: config numbers, times, time grids and whole-number counts.
+argument rule: config objects and numbers, times, time grids and
+whole-number counts.
 
 The CLI maps these onto stable exit codes: configuration problems exit 2,
 numerical preconditions exit 3, cross-validation tolerance breaches exit 4.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from numbers import Integral, Real
+from typing import Iterable, Mapping
 
 
 class RecombError(Exception):
@@ -42,6 +44,30 @@ class MassDriftError(RecombError, ArithmeticError):
 
 class CrosscheckError(RecombError):
     """Independent solution methods disagree beyond the requested tolerance."""
+
+
+def expect_mapping(value, path: str) -> Mapping:
+    """`value` if it is a JSON object, else a ConfigError naming `path`."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path}: expected an object")
+    return value
+
+
+def reject_unknown(data: Mapping, allowed: Iterable[str], path: str) -> None:
+    """A ConfigError naming the first key of `data` not in `allowed`."""
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
+def positive_int(value, path: str) -> int:
+    """A count from a parsed config: a JSON int of at least 1; booleans,
+    floats (3.0 too) and strings raise a ConfigError naming `path`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected a positive integer")
+    if value < 1:
+        raise ConfigError(f"{path}: must be >= 1, got {value}")
+    return value
 
 
 def config_real(value, path: str) -> float:
@@ -87,20 +113,6 @@ def check_grid(t_grid, from_zero: bool = False) -> list[float]:
 #: replicate streams are numbered by unsigned 64-bit integers, so a batch
 #: of replicates ends at this index at the latest.
 LAST_REPLICATE = 2 ** 64 - 1
-
-#: the exact routes refuse a model whose one-block partition reaches more
-#: states than this: the single-crossover lattice of 16 sites.
-MAX_REACHABLE = 1 << 15
-
-
-def check_reachable(n_sites: int, count: int) -> None:
-    """A SizeCapError once a model on `n_sites` sites is seen to reach
-    `count` > ``MAX_REACHABLE`` states."""
-    if count > MAX_REACHABLE:
-        raise SizeCapError(
-            f"the one-block partition of {n_sites} sites reaches at least {count} "
-            f"states, past the cap of {MAX_REACHABLE} reachable states"
-        )
 
 
 def check_count(value, what: str, minimum: int = 1, maximum: int | None = None) -> int:

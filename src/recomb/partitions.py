@@ -371,27 +371,25 @@ class PartitionIndex:
     ``PartitionIndex(ground)`` holds every partition (the lattice; the
     exact routes share one per ground set, see :func:`shared_index`);
     :meth:`from_states` holds a given set, such as a model's reachable
-    states, and builds its ``partitions`` on first use.
+    states.  Both list mask states and build ``partitions`` on first use.
     """
 
     __slots__ = ("ground", "_partitions", "states", "position")
 
-    def __init__(self, ground: Iterable[int], site_cap: int = DEFAULT_SITE_CAP):
-        self.ground = tuple(sorted(ground))
-        if not self.ground:
-            raise DomainError("ground set must be nonempty")
-        if len(self.ground) > site_cap:
+    def __init__(self, ground: Iterable[int]):
+        ground = tuple(sorted(ground))
+        n = len(ground)
+        if n > DEFAULT_SITE_CAP:
             raise SizeCapError(
-                f"{len(self.ground)} sites means Bell({len(self.ground)}) = "
-                f"{bell_number(len(self.ground))} partitions; cap is {site_cap} sites "
-                f"(raise site_cap explicitly if you really want this)"
+                f"{n} sites means Bell({n}) = {bell_number(n)} partitions; "
+                f"cap is {DEFAULT_SITE_CAP} sites"
             )
-        plist = sorted(all_partitions(self.ground), key=Partition.sort_key)
-        self._partitions: tuple[Partition, ...] | None = tuple(plist)
-        self.states: tuple[tuple[int, ...], ...] = tuple(tuple(p.as_masks()) for p in plist)
-        self.position: Mapping[tuple[int, ...], int] = MappingProxyType(
-            {s: i for i, s in enumerate(self.states)}
-        )
+        states = [()]
+        for bit in (1 << i for i in range(n)):  # site i joins a block or opens one
+            states = [
+                s[:j] + (s[j] | bit,) + s[j + 1:] for s in states for j in range(len(s))
+            ] + [s + (bit,) for s in states]
+        self._hold(ground, states)
 
     @classmethod
     def from_states(
@@ -400,13 +398,18 @@ class PartitionIndex:
         """The index of the given mask states of partitions of `ground`,
         sorted into index order; no site cap."""
         index = cls.__new__(cls)
-        index.ground = tuple(sorted(ground))
-        if not index.ground:
-            raise DomainError("ground set must be nonempty")
-        index._partitions = None
-        index.states = tuple(sorted(states, key=_state_key))
-        index.position = MappingProxyType({s: i for i, s in enumerate(index.states)})
+        index._hold(ground, states)
         return index
+
+    def _hold(self, ground: Iterable[int], states: Iterable[tuple[int, ...]]) -> None:
+        self.ground = tuple(sorted(ground))
+        if not self.ground:
+            raise DomainError("ground set must be nonempty")
+        self._partitions: tuple[Partition, ...] | None = None
+        self.states: tuple[tuple[int, ...], ...] = tuple(sorted(states, key=_state_key))
+        self.position: Mapping[tuple[int, ...], int] = MappingProxyType(
+            {s: i for i, s in enumerate(self.states)}
+        )
 
     @property
     def partitions(self) -> tuple[Partition, ...]:

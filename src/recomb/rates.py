@@ -11,12 +11,12 @@ sparse models (e.g. single crossover, n-1 entries) cheap.
 
 The lattice layer works on site bitmasks (bit i: the i-th ground site) and
 mask states (see :mod:`.partitions`): ``split_table`` memoizes the marginal
-rates per subset mask, ``children`` is the refinement step on it, ``walk``
-(memoized as ``reachable``) is the one owner of the states the refinement
-process visits from the one-block partition, and ``exit_rate`` is the one
-owner of exit rates.  ``block_split_rates``, ``split_rate`` and
-``marginal_rate`` convert site tuples and ``Partition`` objects at the edge
-and read the same table.
+rates per subset mask, ``children`` is the refinement step on it and
+``exit_rate`` is the one owner of exit rates.  ``block_split_rates``,
+``split_rate`` and ``marginal_rate`` convert site tuples and ``Partition``
+objects at the edge and read the same table.  The model keeps only its
+rates: the states the refinement process visits belong to
+:mod:`.ancestral`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_reachable, config_real
-from .partitions import (
-    DEFAULT_SITE_CAP, Partition, PartitionIndex, bell_number, cut_partition, shared_index,
+from .errors import (
+    ConfigError, DomainError, config_real, expect_mapping, positive_int, reject_unknown,
 )
+from .partitions import Partition, cut_partition
 
 _SUM_TOL = 1e-9
 
@@ -46,7 +46,7 @@ def _cuts(n: int) -> tuple[Partition, ...]:
 class RecombinationDistribution:
     """Event rate mu plus probabilities on two-block site partitions."""
 
-    __slots__ = ("ground", "mu", "entries", "style", "_masks", "_tables", "_reachable")
+    __slots__ = ("ground", "mu", "entries", "style", "_masks", "_tables")
 
     def __init__(
         self,
@@ -92,7 +92,6 @@ class RecombinationDistribution:
         # block-1 mask of each entry, in entries order
         self._masks = tuple(a.as_masks()[0] for a in clean)
         self._tables: dict[int, tuple[float, tuple[tuple[int, int, float], ...]]] = {}
-        self._reachable: PartitionIndex | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -231,43 +230,6 @@ class RecombinationDistribution:
                 j = bisect.bisect(lows, p2 & -p2, i + 1) - i - 1
                 yield head + (p1,) + tail[:j] + (p2,) + tail[j:], rate
 
-    def reachable(self) -> PartitionIndex:
-        """The states reachable from the one-block partition: the index of
-        ``walk``, memoized."""
-        if self._reachable is None:
-            self.walk()
-        return self._reachable
-
-    def walk(self) -> tuple[PartitionIndex, dict[tuple[int, ...], tuple]]:
-        """Breadth-first walk of ``children`` from the one-block state.
-
-        Returns the reachable states in ``PartitionIndex`` order, memoized
-        as ``reachable()`` (``shared_index`` when they are the whole lattice
-        of at most ``DEFAULT_SITE_CAP`` sites), and each state's tuple of
-        ``(child, rate)`` steps, which the model does not keep: hand them
-        to ``build_generator``.  Raises ``SizeCapError`` at the first state
-        past ``errors.MAX_REACHABLE``.
-        """
-        start = ((1 << self.n_sites) - 1,)
-        seen = {start}
-        frontier = [start]
-        steps = {}
-        while frontier:
-            later = []
-            for state in frontier:
-                steps[state] = out = tuple(self.children(state))
-                for child, _ in out:
-                    if child not in seen:
-                        seen.add(child)
-                        later.append(child)
-                        check_reachable(self.n_sites, len(seen))
-            frontier = later
-        if self.n_sites <= DEFAULT_SITE_CAP and len(seen) == bell_number(self.n_sites):
-            self._reachable = shared_index(self.ground)
-        else:
-            self._reachable = PartitionIndex.from_states(self.ground, seen)
-        return self._reachable, steps
-
     def marginal_rate(self, u: Iterable[int], b: Partition) -> float:
         """Sum of rho(A) over all events A whose restriction to u equals b."""
         uu = tuple(sorted(set(u)))
@@ -340,18 +302,11 @@ class RecombinationDistribution:
         "entries": [{"partition": "1|2,3", "value": 0.3}, ...]}.
         Rate style replaces mu with an optional "residual_rate".
         """
-        if not isinstance(cfg, Mapping):
-            raise ConfigError(f"{path}: expected an object")
-        allowed = {"n", "mu", "style", "entries", "residual_rate"}
-        for key in cfg:
-            if key not in allowed:
-                raise ConfigError(f"{path}.{key}: unknown field")
-        try:
-            n = int(cfg["n"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{path}.n: required positive integer") from None
-        if n < 1:
-            raise ConfigError(f"{path}.n: must be >= 1, got {n}")
+        expect_mapping(cfg, path)
+        reject_unknown(cfg, ("n", "mu", "style", "entries", "residual_rate"), path)
+        if "n" not in cfg:
+            raise ConfigError(f"{path}.n: required positive integer")
+        n = positive_int(cfg["n"], f"{path}.n")
         style = cfg.get("style")
         if style not in ("probability", "rate"):
             raise ConfigError(
@@ -364,11 +319,7 @@ class RecombinationDistribution:
         ground = tuple(range(1, n + 1))
         for i, item in enumerate(raw):
             ipath = f"{path}.entries[{i}]"
-            if not isinstance(item, Mapping):
-                raise ConfigError(f"{ipath}: expected an object")
-            for key in item:
-                if key not in ("partition", "value"):
-                    raise ConfigError(f"{ipath}.{key}: unknown field")
+            reject_unknown(expect_mapping(item, ipath), ("partition", "value"), ipath)
             try:
                 part = Partition.from_text(str(item["partition"]))
             except (KeyError, DomainError) as exc:

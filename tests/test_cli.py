@@ -6,9 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
+from recomb import cli
 from recomb import (
     Partition,
     RecombinationDistribution,
@@ -562,6 +564,44 @@ def test_jobs_validation(configs, tmp_path):
     )
     assert res.returncode == 2
     assert "--jobs" in res.stderr
+
+
+@pytest.mark.parametrize("n", [True, 2.9, "3"])
+def test_a_site_count_that_is_not_a_positive_int_exits_2(tmp_path, n):
+    config = tmp_path / "model.json"
+    rates = {"n": n, "style": "rate", "residual_rate": 1.0}
+    config.write_text(json.dumps({"recombination": rates, "run": {"t": 1.0}}))
+    res = run_cli("coefficients", "--config", str(config), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "config.recombination.n" in res.stderr
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(5000, 2, 2), (2, 2, 2), (3, 1, 1), (3, None, 1)])
+def test_jobs_split_the_batch_but_threads_stop_at_the_cpu_count(monkeypatch, jobs, cpus, workers):
+    opened = []
+
+    class Inline:
+        """Records its worker count and runs each chunk at once, on no thread."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Inline)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    pieces = cli._run_chunked(lambda lo, count: (lo, count), 5000, jobs)
+    assert opened == [workers]
+    assert pieces == list(cli._chunks(5000, jobs)) and len(pieces) == jobs
 
 
 def test_usage_errors():

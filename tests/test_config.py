@@ -301,3 +301,10 @@ def test_rate_style_block():
     prob = dict(BASE["recombination"], residual_rate=0.5)
     with pytest.raises(ConfigError, match="only valid with style 'rate'"):
         ModelConfig.parse({"recombination": prob})
+
+
+@pytest.mark.parametrize("n", [True, 2.9, "3"])
+def test_site_count_must_be_a_json_int(n):
+    data = {"recombination": {"n": n, "style": "rate", "residual_rate": 1.0}}
+    with pytest.raises(ConfigError, match=r"config\.recombination\.n: expected a positive integer"):
+        ModelConfig.parse(data)

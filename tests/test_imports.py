@@ -1,4 +1,5 @@
-"""Package structure: no module reaches into a sibling's private names."""
+"""Package structure: no module reaches into a sibling's private names,
+and the model module stays off the lattice and the reachable-state cap."""
 
 import ast
 from pathlib import Path
@@ -19,3 +20,20 @@ def test_no_private_names_imported_from_sibling_modules():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_the_model_module_imports_nothing_of_the_lattice_or_the_cap():
+    # the model keeps its rates; the exact routes own their states
+    banned = {
+        "PartitionIndex", "shared_index", "bell_number", "DEFAULT_SITE_CAP",
+        "MAX_REACHABLE", "check_reachable",
+    }
+    used = set()
+    for node in ast.walk(ast.parse((SRC / "rates.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):  # e.g. partitions.PartitionIndex
+            used.add(node.attr)
+    assert sorted(used & banned) == []

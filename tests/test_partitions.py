@@ -297,8 +297,19 @@ def test_index_interval_partitions():
 def test_site_cap_guards_lattice_enumeration():
     assert DEFAULT_SITE_CAP == 8
     PartitionIndex(tuple(range(1, 9)))  # at the cap: allowed
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match=r"Bell\(9\) = 21147 partitions; cap is 8 sites"):
         PartitionIndex(tuple(range(1, 10)))
+
+
+@pytest.mark.parametrize(
+    "ground", [tuple(range(1, n + 1)) for n in range(1, 9)] + [(2, 5, 7, 9), (10, 3, 7)]
+)
+def test_the_mask_built_lattice_is_the_sorted_partition_list(ground):
+    index = PartitionIndex(ground)
+    want = sorted(all_partitions(ground), key=Partition.sort_key)
+    assert index.ground == tuple(sorted(ground))
+    assert index.states == tuple(tuple(p.as_masks()) for p in want)
+    assert index.partitions == tuple(want)
 
 
 def test_to_text_is_built_once_and_round_trips():

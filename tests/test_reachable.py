@@ -1,6 +1,6 @@
 """The exact routes on the states a model reaches from the one-block partition.
 
-``RecombinationDistribution.reachable`` must be the closure of the
+The index of ``build_generator(d)`` must be the closure of the
 refinement step, checked against an independent breadth-first walk over
 ``Partition`` objects below.  On it, general models keep the lattice's
 floats bit for bit, single-crossover models stay within rounding of the
@@ -85,6 +85,15 @@ def general5_less_one():
     )
 
 
+def holds_no_walk(d):
+    """No slot of the model holds an index, and its memo holds split tables
+    (keyed by subset masks) only, no steps (keyed by mask states)."""
+    held = [getattr(d, name) for name in d.__slots__]
+    return not any(isinstance(v, PartitionIndex) for v in held) and all(
+        isinstance(u, int) for u in d._tables
+    )
+
+
 CLOSURE_CASES = (
     [(f"general{n}", lambda n=n: general_model(n, n)) for n in range(3, 7)]
     + [(f"crossover{n}", lambda n=n: crossover_model(n, n)) for n in range(4, 13)]
@@ -95,8 +104,7 @@ CLOSURE_CASES = (
 @pytest.mark.parametrize("make", [m for _, m in CLOSURE_CASES], ids=[k for k, _ in CLOSURE_CASES])
 def test_reachable_states_are_the_reference_closure(make):
     d = make()
-    index = d.reachable()
-    assert d.reachable() is index
+    index = build_generator(d).index
     want = reference_closure(d)
     assert len(index) == len(want)
     assert list(index.partitions) == sorted(want, key=Partition.sort_key)
@@ -108,7 +116,8 @@ def test_reachable_states_are_the_reference_closure(make):
 
 def test_the_semigroup_route_steps_each_state_once_and_keeps_no_steps(monkeypatch):
     fresh = sparse_model()
-    want = build_generator(fresh, fresh.reachable())
+    index = build_generator(fresh).index
+    want = build_generator(fresh, index)
 
     calls = Counter()
     children = RecombinationDistribution.children
@@ -119,22 +128,38 @@ def test_the_semigroup_route_steps_each_state_once_and_keeps_no_steps(monkeypatc
 
     monkeypatch.setattr(RecombinationDistribution, "children", counted)
     d = sparse_model()
-    index, steps = d.walk()
-    got = build_generator(d, index, steps)
+    got = build_generator(d)
     assert sorted(calls) == sorted(index.states) and set(calls.values()) == {1}
+    assert got.index.states == index.states
     for name in ("rows", "cols", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert d.reachable() is index
-    assert all(getattr(d, name) is not steps for name in d.__slots__)
+    assert holds_no_walk(d)
 
     calls.clear()
     exact_coefficients(sparse_model(), TIMES, "semigroup")
     assert len(calls) == len(index) and set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_walked_generator_is_bitwise_the_lattice_generator(n):
+    d = general_model(n, 30 + n)
+    got = build_generator(d)
+    want = build_generator(d, PartitionIndex(d.ground))
+    assert got.index.states == want.index.states
+    for name in ("rows", "cols", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("make", [sparse_model, lambda: general_model(5, 2)])
+def test_the_semigroup_route_leaves_no_index_on_the_model(make):
+    d = make()
+    exact_coefficients(d, TIMES, "semigroup")
+    assert d._tables and holds_no_walk(d)
+
+
 def test_a_model_reaching_every_partition_gets_the_lattice_order():
     d = general_model(5, 1)
-    assert d.reachable().states == PartitionIndex(d.ground).states
+    assert build_generator(d).index.states == PartitionIndex(d.ground).states
 
 
 def test_index_from_states_sorts_and_holds_only_its_states():
@@ -204,7 +229,7 @@ def past_the_cap():
 def test_semigroup_matches_the_closed_form_past_the_lattice_cap(past_the_cap, n):
     d, semigroup, closed = past_the_cap[n]
     for a, b in zip(semigroup, closed):
-        assert a.index is d.reachable() and b.index.states == a.index.states
+        assert a.index is semigroup[0].index and b.index.states == a.index.states
         assert len(a.index) == 2 ** (n - 1)
         assert abs(a.total() - 1.0) <= 1e-12
         assert np.max(np.abs(a.values - b.values)) <= 1e-10
@@ -254,7 +279,7 @@ def test_past_the_reachable_cap_is_refused_with_the_count():
         ground, {Partition([[s], [r for r in ground if r != s]]): 1.0 for s in ground}
     )
     with pytest.raises(SizeCapError, match="16 sites reaches at least 32769 states"):
-        single.reachable()
+        build_generator(single)
 
 
 def test_the_recursion_refuses_past_the_lattice_cap_before_any_table(monkeypatch):
@@ -270,12 +295,11 @@ def test_the_recursion_refuses_past_the_lattice_cap_before_any_table(monkeypatch
 
 def test_the_closed_form_lists_its_states_without_walking_the_model(monkeypatch):
     # the benchmark's checks and other callers may keep the model; the
-    # closed form leaves neither split tables nor a walk on it
+    # closed form leaves no split tables on it, so no walk ran
     def refuse(*args):
         raise AssertionError("walked the model")
 
     monkeypatch.setattr(RecombinationDistribution, "split_table", refuse)
-    monkeypatch.setattr(RecombinationDistribution, "walk", refuse)
     d = crossover_model(10, 1)
     coeffs = coefficients_single_crossover(d, 1.0)
     assert len(coeffs.index) == 512 and abs(coeffs.total() - 1.0) <= 1e-12
