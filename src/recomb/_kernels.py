@@ -39,7 +39,8 @@ The kernels walk their replicates in one of three ways:
   replicate that reads past them refills `_ARG_BLOCK` at a time.  They
   stay bitwise equal to the draw-at-a-time walk (kept in the tests as the
   reference) because they read the same uniforms in the same order and
-  keep the same lists of ancestral material and site fragments:
+  keep the same lists of ancestral material and site fragments (labelled
+  at the end by `_lane_labels`, the partition sampler's routine):
   individuals and parent slots are ``int(u * n)`` with the n - 1 clamp,
   the event is the first running probability above the draw
   (``bisect_right``), a founder is the drawn one of the individuals not
@@ -698,19 +699,6 @@ def _arg_walk(src, mu, N, t_end, full, cum_prob, masks):
             mat[d2] |= p2
 
 
-def _site_labels(frags, n_sites):
-    """Canonical site labels of disjoint fragments covering the sites: a
-    fragment's label is the number of fragments whose lowest site lies
-    below its own (first-occurrence order)."""
-    row = [0] * n_sites
-    for label, fm in enumerate(sorted(frags, key=lambda f: f & -f)):
-        while fm:
-            low = fm & -fm
-            row[low.bit_length() - 1] = label
-            fm ^= low
-    return row
-
-
 @_entry
 def arg_batch(ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, n_reps, rep_lo=0):
     """Backward-process batch: per replicate the final site-fragment
@@ -719,15 +707,16 @@ def arg_batch(ent_mask1, ent_prob, mu, n_sites, N, t_end, seed, n_reps, rep_lo=0
     n_sites = _site_count(n_sites, "backward sampler")
     cum_prob, masks = _arg_events(ent_mask1, ent_prob)
     mu, N, t_end, n_reps = float(mu), int(N), float(t_end), int(n_reps)
-    rows, ancestors = [], []
-    for src in _arg_streams(_seed_u64(seed), int(rep_lo), n_reps):
+    blocks = np.zeros((n_reps, n_sites), np.uint64)
+    ancestors = np.empty(n_reps, np.int32)
+    for r, src in enumerate(_arg_streams(_seed_u64(seed), int(rep_lo), n_reps)):
         mat, frags = _arg_walk(src, mu, N, t_end, (1 << n_sites) - 1, cum_prob, masks)
-        rows.append(_site_labels(frags, n_sites))
-        ancestors.append(len(mat))
-    return (
-        np.array(rows, np.int8).reshape(n_reps, n_sites),
-        np.array(ancestors, np.int32),
-    )
+        blocks[r, : len(frags)] = frags
+        ancestors[r] = len(mat)
+    rows = np.empty((n_reps, n_sites), np.int8)
+    for lo in range(0, n_reps, _LANES):
+        _lane_labels(blocks[lo : lo + _LANES].view(np.int64), rows[lo : lo + _LANES])
+    return rows, ancestors
 
 
 @_entry

@@ -514,7 +514,7 @@ def coefficients_single_crossover(
             "not a single-crossover model: support contains a non-interval split"
         )
     n = d.n_sites
-    cuts = sorted(a.blocks[0][-1] for a in d.entries)
+    cuts = [a.blocks[0][-1] for a in d.entries]  # ascending: event order
     check_reachable(n, 2 ** len(cuts))
     states = []
     for chosen in itertools.product((False, True), repeat=len(cuts)):
@@ -610,6 +610,7 @@ def build_discrete_matrix(
     corresponding two-block marginal probability); the row entry of a
     refinement is the product over blocks.  Requires a probability-style
     model because the entries are per-generation probabilities, not rates.
+    The index must hold every state its states step to, such as the lattice.
     """
     if d.style != "probability":
         raise DomainError(
@@ -621,33 +622,37 @@ def build_discrete_matrix(
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    for i, state in enumerate(index.states):
-        options_per_block = []
-        for b in state:
-            stay, splits = d.split_table(b)
-            opts = [((b,), stay / d.mu)] if stay > 0 else []
-            opts.extend(((p1, p2), rate / d.mu) for p1, p2, rate in splits)
-            options_per_block.append(opts)
-        for combo in itertools.product(*options_per_block):
-            blocks: list[int] = []
-            prob = 1.0
-            for c, p in combo:
-                blocks.extend(c)
-                prob *= p
-            rows.append(i)
-            cols.append(index.position[mask_state(blocks)])
-            data.append(prob)
+    try:
+        for i, state in enumerate(index.states):
+            options_per_block = []
+            for b in state:
+                stay, splits = d.split_table(b)
+                opts = [((b,), stay / d.mu)] if stay > 0 else []
+                opts.extend(((p1, p2), rate / d.mu) for p1, p2, rate in splits)
+                options_per_block.append(opts)
+            for combo in itertools.product(*options_per_block):
+                blocks: list[int] = []
+                prob = 1.0
+                for c, p in combo:
+                    blocks.extend(c)
+                    prob *= p
+                rows.append(i)
+                cols.append(index.position[mask_state(blocks)])
+                data.append(prob)
+    except KeyError:
+        raise DomainError("the index misses a state the model steps to") from None
     return PartitionMatrix._from_entries(index, rows, cols, data)
 
 
 def coefficients_discrete(
     m: PartitionMatrix, t: int, start: Partition | None = None
 ) -> CoefficientVector:
-    """Row `start` of M^t by iterated sparse vector-matrix steps."""
+    """Row `start` (default: the index's first state) of M^t by iterated
+    sparse vector-matrix steps."""
     t = check_count(t, "generation count", minimum=0)
     index = m.index
     v = np.zeros(len(index))
-    v[index.index_of(index.one if start is None else start)] = 1.0
+    v[0 if start is None else index.index_of(start)] = 1.0
     for _ in range(t):
         v = np.bincount(m.cols, weights=v[m.rows] * m.data, minlength=len(index))
     return CoefficientVector(index, v)

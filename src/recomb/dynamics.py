@@ -336,12 +336,11 @@ def iterate_discrete(
             w = w + _kernels.rhs_dense(w, field.idx1, field.idx2, field.probs)
             states.append(TypeDistribution._from_dense(w0.space, w))
         return Trajectory(times, states)
-    entries = sorted(d.entries.items(), key=lambda kv: kv[0].sort_key())
     residual = d.residual_probability
     w = w0
     for _ in range(t):
         acc = {ty: residual * v for ty, v in w.items()}
-        for a, r in entries:
+        for a, r in d.entries.items():
             for ty, v in w.product_over_blocks(a).items():
                 acc[ty] = acc.get(ty, 0.0) + r * v
         w = TypeDistribution._from_sparse(w.space, acc)

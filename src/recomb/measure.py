@@ -299,28 +299,19 @@ class TypeDistribution:
             nd = marg if nd is None else nd * marg
         return nd.ravel() / total ** (a.n_blocks - 1)
 
+    def _gaps(self, other: "TypeDistribution", what: str) -> np.ndarray:
+        """|self - other| pointwise: over the whole space when both are
+        dense, else over the union of the two supports."""
+        if self.space != other.space:
+            raise DomainError(f"{what} requires a common type space")
+        if self._dense is not None and other._dense is not None:
+            return np.abs(self._dense - other._dense)
+        keys = {t for t, _ in self.items()} | {t for t, _ in other.items()}
+        return np.array([abs(self.weight(t) - other.weight(t)) for t in keys])
+
     def total_variation_distance(self, other: "TypeDistribution") -> float:
         """Half the L1 distance; in [0, 1] for probability distributions."""
-        if self.space != other.space:
-            raise DomainError("total variation requires a common type space")
-        if self._dense is not None and other._dense is not None:
-            return 0.5 * float(np.abs(self._dense - other._dense).sum())
-        a = self._sparse if self._sparse is not None else None
-        if a is None or other._sparse is None:
-            dense, sparse = (self, other) if self._dense is not None else (other, self)
-            acc = 0.0
-            seen = set(sparse._sparse)
-            for t, v in sparse._sparse.items():
-                acc += abs(v - float(dense._dense[dense.space.encode(t)]))
-            for idx in np.nonzero(dense._dense)[0]:
-                t = dense.space.decode(int(idx))
-                if t not in seen:
-                    acc += abs(float(dense._dense[idx]))
-            return 0.5 * acc
-        acc = 0.0
-        for t in set(a) | set(other._sparse):
-            acc += abs(a.get(t, 0.0) - other._sparse.get(t, 0.0))
-        return 0.5 * acc
+        return 0.5 * float(self._gaps(other, "total variation").sum())
 
     # -- utilities ----------------------------------------------------------
 
@@ -360,15 +351,7 @@ class TypeDistribution:
 
     def sup_distance(self, other: "TypeDistribution") -> float:
         """Max absolute pointwise difference."""
-        if self.space != other.space:
-            raise DomainError("sup distance requires a common type space")
-        if self._dense is not None and other._dense is not None:
-            return float(np.abs(self._dense - other._dense).max())
-        best = 0.0
-        keys = {t for t, _ in self.items()} | {t for t, _ in other.items()}
-        for t in keys:
-            best = max(best, abs(self.weight(t) - other.weight(t)))
-        return best
+        return float(self._gaps(other, "sup distance").max(initial=0.0))
 
     def __repr__(self) -> str:
         kind = "dense" if self._dense is not None else "sparse"

@@ -396,9 +396,21 @@ class PartitionIndex:
         cls, ground: Iterable[int], states: Iterable[tuple[int, ...]]
     ) -> "PartitionIndex":
         """The index of the given mask states of partitions of `ground`,
-        sorted into index order; no site cap."""
+        sorted into index order; no site cap.  Refuses a repeated state and
+        one that is not a canonical mask state of `ground`."""
         index = cls.__new__(cls)
         index._hold(ground, states)
+        full = (1 << len(index.ground)) - 1
+        for s in index.states:
+            # positive blocks whose sum and summed bit counts are those of
+            # full are disjoint (no carry) and cover every site
+            bits = sum(map(int.bit_count, s))
+            if min(s, default=0) < 1 or sum(s) != full or bits != full.bit_count():
+                raise DomainError(f"{s} is not a mask state of {index.ground}")
+            if s != mask_state(s):
+                raise DomainError(f"{s} does not order its blocks by lowest bit")
+        if len(index.position) < len(index.states):
+            raise DomainError("a state is given twice")
         return index
 
     def _hold(self, ground: Iterable[int], states: Iterable[tuple[int, ...]]) -> None:

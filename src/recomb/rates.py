@@ -5,6 +5,10 @@ r(A) on two-block partitions of the site set; the residual 1 - sum r(A) is
 the probability that an event copies a single parent unchanged (the
 one-block partition).  Rates are rho(A) = mu * r(A).
 
+Entries are kept in *event order* (``Partition.sort_key``), put once at
+construction; ``mu`` (from rates), the residual, the split tables and
+``event_arrays`` follow it, so no result depends on the order entries come in.
+
 Marginal rates on a subset u sum rho over all partitions restricting to a
 given partition of u; only the stored support is enumerated, which keeps
 sparse models (e.g. single crossover, n-1 entries) cheap.
@@ -43,6 +47,11 @@ def _cuts(n: int) -> tuple[Partition, ...]:
     return tuple(cut_partition(n, k) for k in range(1, n))
 
 
+def _in_event_order(entries: Mapping[Partition, float]) -> list[tuple[Partition, float]]:
+    """The (partition, value) pairs in event order (``Partition.sort_key``)."""
+    return sorted(entries.items(), key=lambda kv: kv[0].sort_key())
+
+
 class RecombinationDistribution:
     """Event rate mu plus probabilities on two-block site partitions."""
 
@@ -65,7 +74,7 @@ class RecombinationDistribution:
             raise DomainError(f"unknown style {style!r}")
         self.style = style
         clean: dict[Partition, float] = {}
-        for a, r in entries.items():
+        for a, r in _in_event_order(entries):
             if a.ground != self.ground:
                 raise DomainError(
                     f"entry {a.to_text()} is not a partition of {self.ground}"
@@ -89,7 +98,7 @@ class RecombinationDistribution:
                 f"two-block probabilities sum to {total}, which exceeds 1"
             )
         self.entries = clean
-        # block-1 mask of each entry, in entries order
+        # block-1 mask of each entry, in event order
         self._masks = tuple(a.as_masks()[0] for a in clean)
         self._tables: dict[int, tuple[float, tuple[tuple[int, int, float], ...]]] = {}
 
@@ -117,13 +126,14 @@ class RecombinationDistribution:
             raise DomainError(
                 f"residual rate must be nonnegative and finite, got {residual_rate}"
             )
-        for a, v in rates.items():
+        ordered = _in_event_order(rates)
+        for a, v in ordered:
             if not 0 <= float(v) < math.inf:
                 raise DomainError(f"rate {v} for {a.to_text()} must be nonnegative and finite")
-        mu = sum(float(v) for v in rates.values()) + residual_rate
+        mu = sum(float(v) for _, v in ordered) + residual_rate
         if not mu > 0:
             raise DomainError("all rates zero: total event rate must be positive")
-        probs = {a: float(v) / mu for a, v in rates.items()}
+        probs = {a: float(v) / mu for a, v in ordered}
         return cls(ground, mu, probs, style="rate")
 
     @classmethod
@@ -173,12 +183,11 @@ class RecombinationDistribution:
     def event_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The support as kernel input: block-1 masks and probabilities.
 
-        Entries follow ``Partition.sort_key`` order; bit i of a mask is the
-        i-th site of the sorted ground set.  Rates are ``probs * mu``.
+        Entries in event order, as stored; bit i of a mask is the i-th site
+        of the sorted ground set.  Rates are ``probs * mu``.
         """
-        ordered = sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
-        masks = np.array([a.as_masks()[0] for a, _ in ordered], dtype=np.int64)
-        probs = np.array([r for _, r in ordered], dtype=np.float64)
+        masks = np.array(self._masks, dtype=np.int64)
+        probs = np.array(list(self.entries.values()), dtype=np.float64)
         return masks, probs
 
     # -- marginalization -------------------------------------------------
@@ -197,7 +206,7 @@ class RecombinationDistribution:
 
         Returns (stay, splits): the rate of events keeping u whole (residual
         included), and (part holding u's lowest site, rest, rho^u) for each
-        two-block restriction, summed in ``entries`` order.
+        two-block restriction, summed in event order.
         """
         table = self._tables.get(u)
         if table is None:  # threads racing here store equal tables
@@ -352,21 +361,20 @@ class RecombinationDistribution:
             raise ConfigError(f"{path}: {exc}") from None
 
     def to_config(self) -> dict:
-        ordered = sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
         if self.style == "probability":
             return {
                 "n": self.n_sites,
                 "mu": self.mu,
                 "style": "probability",
                 "entries": [
-                    {"partition": a.to_text(), "value": r} for a, r in ordered
+                    {"partition": a.to_text(), "value": r} for a, r in self.entries.items()
                 ],
             }
         return {
             "n": self.n_sites,
             "style": "rate",
             "entries": [
-                {"partition": a.to_text(), "value": self.mu * r} for a, r in ordered
+                {"partition": a.to_text(), "value": self.mu * r} for a, r in self.entries.items()
             ],
             "residual_rate": self.mu * self.residual_probability,
         }

@@ -344,6 +344,25 @@ def test_coefficients_discrete_basics(model3, index3):
             coefficients_discrete(m, t)
 
 
+def test_coefficients_discrete_starts_at_the_first_state_without_listing_partitions(model3):
+    index = PartitionIndex(model3.ground)
+    m = build_discrete_matrix(model3, index)
+    one = Partition.one_block(model3.ground)
+    for t in (0, 1, 5):
+        got = coefficients_discrete(m, t).values
+        assert got.tobytes() == coefficients_discrete(m, t, one).values.tobytes()
+    assert index._partitions is None
+
+
+@pytest.mark.parametrize("build", [build_generator, build_discrete_matrix])
+def test_builders_refuse_an_index_missing_a_state_the_model_steps_to(build):
+    d = RecombinationDistribution.from_probabilities(
+        (1, 2, 3), 1.0, {P("1|2,3"): 0.3, P("1,2|3"): 0.5}
+    )
+    with pytest.raises(DomainError, match="misses a state"):
+        build(d, PartitionIndex.from_states((1, 2, 3), [(7,)]))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo sampler
 # ---------------------------------------------------------------------------

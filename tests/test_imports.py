@@ -1,5 +1,7 @@
 """Package structure: no module reaches into a sibling's private names,
-and the model module stays off the lattice and the reachable-state cap."""
+the model module stays off the lattice and the reachable-state cap, and
+only the partition and model modules read ``sort_key``, so the event order
+has one owner."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,13 @@ def test_the_model_module_imports_nothing_of_the_lattice_or_the_cap():
         elif isinstance(node, ast.Attribute):  # e.g. partitions.PartitionIndex
             used.add(node.attr)
     assert sorted(used & banned) == []
+
+
+def test_only_the_partition_and_model_modules_read_sort_key():
+    # the model puts its entries into event order once; the rest reads them as stored
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "sort_key":
+                readers.add(path.name)
+    assert readers <= {"partitions.py", "rates.py"}

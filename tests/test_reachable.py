@@ -173,6 +173,21 @@ def test_index_from_states_sorts_and_holds_only_its_states():
         index.index_of(Partition.from_text("1,2|3,4,5,6,7,8,9,10"))
 
 
+@pytest.mark.parametrize(
+    "states",
+    [
+        pytest.param([(7,), (7,)], id="repeated-state"),
+        pytest.param([(0b001, 0, 0b110)], id="zero-block"),
+        pytest.param([(0b011, 0b110)], id="overlapping-blocks"),
+        pytest.param([(0b011,)], id="site-in-no-block"),
+        pytest.param([(0b010, 0b101)], id="not-by-lowest-bit"),
+    ],
+)
+def test_index_from_states_refuses_what_is_not_a_set_of_mask_states(states):
+    with pytest.raises(DomainError):
+        PartitionIndex.from_states((1, 2, 3), states)
+
+
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_general_coefficients_are_bitwise_the_lattice_semigroup(n):
     d = general_model(n, 10 + n)
