@@ -12,6 +12,7 @@ replicate's output is a bitwise-pinned function of (seed, replicate).
 
 from ._kernels import splitmix_raw, stream_uniforms
 from .ancestral import (
+    EXACT_METHODS,
     CoefficientVector,
     PartitionMatrix,
     PsiTheta,
@@ -30,7 +31,6 @@ from .ancestral import (
 )
 from .config import ModelConfig, RunSpec
 from .dynamics import (
-    EXACT_METHODS,
     SignedIncrement,
     Trajectory,
     check_duality,

@@ -30,8 +30,8 @@ The kernels walk their replicates in one of three ways:
   compute the same numbers from them: ``int(u * N)`` with the N - 1
   clamp, the first running count total above it (``bisect_right``),
   event probabilities summed left to right, offspring types from integer
-  digit tables, ``math.log`` waiting times, and the multinomial start as
-  the first running weight above each uniform (``np.searchsorted``).
+  digit tables, ``math.log`` waiting times, and the multinomial start
+  (``multinomial_start``, also ``PopulationState.from_distribution``'s).
 * The ARG and reconstruction kernels walk one replicate at a time over
   the same kind of bulk-drawn stream, but their replicates are many and
   short (a few dozen uniforms each): the first `_ARG_BLOCK` uniforms of
@@ -497,12 +497,14 @@ def _moran_walk(counts, mu, duration, src, cum_prob, tables):
             cum = list(itertools.accumulate(counts))
 
 
-def _multinomial(w_cut, N, n_types, s0):
-    """Counts of N iid types drawn from the first N uniforms of the stream
-    at s0: type j for the first running weight w_cut[j] above the
-    uniform, the last type past all of them."""
-    idx = np.searchsorted(w_cut, _block_uniforms(s0, 0, N), side="right")
-    return np.bincount(idx, minlength=n_types).tolist()
+@_entry
+def multinomial_start(w, N: int, seed, replicate: int = 0) -> np.ndarray:
+    """Counts of N iid types from the probability vector w, drawn from the
+    first N uniforms of replicate `replicate`'s stream: type j for the
+    first running weight above the uniform, the last type past all."""
+    w_cum = np.cumsum(_f64(w))
+    u = _block_uniforms(_stream_state(_seed_u64(seed), int(replicate)), 0, int(N))
+    return np.bincount(np.searchsorted(w_cum[:-1], u, side="right"), minlength=w_cum.size)
 
 
 @_entry
@@ -522,15 +524,14 @@ def moran_batch(
     mu, seed, rep_lo = float(mu), _seed_u64(seed), int(rep_lo)
     t_grid = _f64(t_grid).tolist()
     cum_prob, tables = _event_tables(places, sizes, ent_mask1, ent_prob, n_types)
-    if multinomial_from is not None:
-        w_cut = np.cumsum(_f64(multinomial_from))[: n_types - 1]
     out = np.empty((n_reps, len(t_grid), n_types), np.int64)
     for rr in range(n_reps):
         s0 = _stream_state(seed, rep_lo + rr)
         if multinomial_from is None:
             counts, src = init.copy(), _Stream(s0)
         else:
-            counts, src = _multinomial(w_cut, N, n_types, s0), _Stream(s0, N)
+            counts = multinomial_start(multinomial_from, N, seed, rep_lo + rr).tolist()
+            src = _Stream(s0, N)
         prev = 0.0
         for ti, t in enumerate(t_grid):
             _moran_walk(counts, mu, t - prev, src, cum_prob, tables)
@@ -549,8 +550,7 @@ def moran_tv_batch(
     runs the Moran model to t_end, and reports the total variation
     distance of its empirical type frequencies to `target`.
     """
-    w_cum = np.cumsum(_f64(w0))
-    n_types = w_cum.shape[0]
+    n_types = len(w0)
     target = _f64(target).tolist()
     N, mu, t_end = int(N), float(mu), float(t_end)
     seed, rep_lo = _seed_u64(seed), int(rep_lo)
@@ -558,7 +558,7 @@ def moran_tv_batch(
     out = np.empty(n_reps)
     for rr in range(n_reps):
         s0 = _stream_state(seed, rep_lo + rr)
-        counts = _multinomial(w_cum[: n_types - 1], N, n_types, s0)
+        counts = multinomial_start(w0, N, seed, rep_lo + rr).tolist()
         _moran_walk(counts, mu, t_end, _Stream(s0, N), cum_prob, tables)
         acc = 0.0
         for c, w in zip(counts, target):

@@ -19,10 +19,10 @@ split table, refinement step ``children`` and ``exit_rate``; ``PsiTheta``
 takes each subset's reachable states from its merge tables (one per split).
 The semigroup and single-crossover routes index the states the model
 reaches from the one-block partition: ``build_generator(d)`` walks them,
-the closed form lists them, and both refuse past ``MAX_REACHABLE``;
-``on_output_index`` puts their results on the whole lattice
-(``shared_index``) up to ``DEFAULT_SITE_CAP`` sites and leaves them on the
-reachable states above.
+the closed form lists them once per model, and both refuse past
+``MAX_REACHABLE``; ``on_output_index`` puts their results on the whole
+lattice (``shared_index``) up to ``DEFAULT_SITE_CAP`` sites and leaves
+them on the reachable states above.
 ``Partition`` objects are converted at the edge only: by ``PartitionIndex``,
 ``exit_rate`` and ``PsiTheta.psi``/``theta``/``ground_table``.
 ``PartitionMatrix`` stores sorted COO arrays; the semigroup and discrete
@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -492,43 +493,71 @@ def coefficients_recursion(pt: PsiTheta, t: float) -> CoefficientVector:
 
 
 # --------------------------------------------------------------------------
-# single-crossover closed form
+# the exact routes, prepared once per model
 # --------------------------------------------------------------------------
 
+EXACT_METHODS = ("semigroup", "recursion", "single_crossover")
 
-def coefficients_single_crossover(
-    d: RecombinationDistribution, t: float
-) -> CoefficientVector:
-    """Product form on interval partitions for cut-only models.
 
-    The coefficient of the interval partition with cut set G is the
-    product of (1 - e^{-t rho_k}) over cuts in G and e^{-t rho_l} over
-    the remaining cuts; every non-interval partition has weight zero.
-    Computed on the interval partitions whose cuts have positive rates,
-    which are the model's reachable states, listed afresh so that nothing
-    stays on the model; returned through ``on_output_index``.
+@dataclass(frozen=True)
+class ExactRoute:
+    """An exact route prepared for a model: its ``index``, its sizes (states
+    reached, stored generator entries or 0) and ``at(t)``, a_t on ``index``."""
+
+    index: PartitionIndex
+    reachable: int
+    entries: int
+    at: Callable[[float], CoefficientVector]
+
+
+def exact_route(d: RecombinationDistribution, method: str) -> ExactRoute:
+    """Route `method` of ``EXACT_METHODS`` prepared once for `d`.
+
+    The closed form (``single_crossover``) gives the interval partition
+    with cut set G the product of (1 - e^{-t rho_k}) over cuts in G and
+    e^{-t rho_l} over the other cuts, and every other partition zero.
+    Its states, the interval partitions of the positive-rate cuts (the
+    reachable states), are listed once with a table of the cuts that end
+    a block; ``at(t)`` multiplies one factor per cut in ascending order:
+    bitwise ``math.prod`` over all cuts, as a zero-rate cut's factor is 1.
     """
-    check_time(t)
+    if method == "semigroup":
+        q = build_generator(d)
+        return ExactRoute(q.index, len(q.index), len(q.data), lambda t: coefficients_semigroup(q, t))
+    if method == "recursion":
+        pt = compute_psi_theta(d)
+        return ExactRoute(pt.index, len(pt._exit_rates), 0, lambda t: coefficients_recursion(pt, t))
+    if method != "single_crossover":
+        raise DomainError(f"unknown method {method!r}; choose from {EXACT_METHODS}")
     if not d.is_single_crossover():
-        raise DomainError(
-            "not a single-crossover model: support contains a non-interval split"
-        )
+        raise DomainError("not a single-crossover model: support contains a non-interval split")
     n = d.n_sites
     cuts = [a.blocks[0][-1] for a in d.entries]  # ascending: event order
     check_reachable(n, 2 ** len(cuts))
+    chosen = list(itertools.product((False, True), repeat=len(cuts)))
     states = []
-    for chosen in itertools.product((False, True), repeat=len(cuts)):
-        bounds = [0, *(k for k, on in zip(cuts, chosen) if on), n]
+    for on in chosen:
+        bounds = [0, *(k for k, c in zip(cuts, on) if c), n]
         states.append(tuple((1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])))
     index = PartitionIndex.from_states(d.ground, states)
-    survive = [math.exp(-t * d.cut_rate(k)) for k in range(1, n)]
-    out = np.zeros(len(index))
-    for i, state in enumerate(index.states):
-        ends = {m.bit_length() for m in state}  # block maxima: the cuts and n
-        out[i] = math.prod(
-            1.0 - s if k in ends else s for k, s in enumerate(survive, start=1)
-        )
-    return on_output_index([CoefficientVector(index, out)])[0]
+    ends = np.empty((len(index), len(cuts)), dtype=bool)
+    ends[[index.position[s] for s in states]] = chosen
+    columns = [(ends[:, j], d.cut_rate(k)) for j, k in enumerate(cuts)]
+
+    def at(t: float) -> CoefficientVector:
+        check_time(t)
+        out = np.ones(len(index))
+        for end, rate in columns:
+            s = math.exp(-t * rate)
+            out *= np.where(end, 1.0 - s, s)
+        return CoefficientVector(index, out)
+
+    return ExactRoute(index, len(index), 0, at)
+
+
+def coefficients_single_crossover(d: RecombinationDistribution, t: float) -> CoefficientVector:
+    """The closed form's a_t, prepared afresh, through ``on_output_index``."""
+    return on_output_index([exact_route(d, "single_crossover").at(t)])[0]
 
 
 # --------------------------------------------------------------------------

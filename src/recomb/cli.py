@@ -27,10 +27,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .ancestral import CoefficientVector
+from .ancestral import EXACT_METHODS, CoefficientVector
 from .config import MODES, ModelConfig
 from .dynamics import (
-    EXACT_METHODS,
     Trajectory,
     exact_coefficients,
     integrate_grid,

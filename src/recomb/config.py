@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .dynamics import EXACT_METHODS
+from .ancestral import EXACT_METHODS
 from .errors import (
     ConfigError, DomainError, SizeCapError, config_real, expect_mapping, positive_int,
     reject_unknown,

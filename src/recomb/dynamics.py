@@ -23,13 +23,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .ancestral import (
+from .ancestral import (  # EXACT_METHODS, compute_psi_theta: re-exported
+    EXACT_METHODS,
     CoefficientVector,
     build_generator,
-    coefficients_recursion,
     coefficients_semigroup,
-    coefficients_single_crossover,
     compute_psi_theta,
+    exact_route,
     on_output_index,
 )
 from .errors import (
@@ -43,8 +43,6 @@ log = logging.getLogger(__name__)
 
 #: hard error threshold for |mass - 1| along integrated trajectories.
 MASS_TOL = 1e-9
-
-EXACT_METHODS = ("semigroup", "recursion", "single_crossover")
 
 
 class Trajectory:
@@ -229,39 +227,20 @@ def integrate_grid(
 def exact_coefficients(
     d: RecombinationDistribution, times: Iterable[float], method: str
 ) -> list[CoefficientVector]:
-    """a_t at each of `times` by one exact route, built once for all times
-    (one generator for ``semigroup``, one ``PsiTheta`` for ``recursion``).
-
-    The semigroup and single-crossover routes work on the states the model
-    reaches from the one-block partition (the semigroup's generator walks
-    them, and nothing stays on the model); their vectors come back
-    on the whole lattice up to ``DEFAULT_SITE_CAP`` sites and on the
-    reachable states above (see ``on_output_index``).  The recursion
-    refuses past ``DEFAULT_SITE_CAP`` sites.  The route and its sizes are
-    logged at INFO.
+    """a_t at each of `times` by one exact route, prepared once for all
+    times by ``exact_route``; the vectors come back through
+    ``on_output_index`` (the whole lattice up to ``DEFAULT_SITE_CAP``
+    sites, the reachable states above).  The recursion refuses past
+    ``DEFAULT_SITE_CAP`` sites.  The route and its sizes (from the
+    prepared route) are logged at INFO.
     """
     times = [float(t) for t in times]
-    if method not in EXACT_METHODS:
-        raise DomainError(f"unknown method {method!r}; choose from {EXACT_METHODS}")
     for t in times:
         check_time(t)
-    entries = 0
-    if method == "semigroup":
-        q = build_generator(d)
-        reached, entries = len(q.index), len(q.data)
-        out = on_output_index([coefficients_semigroup(q, t) for t in times])
-    elif method == "recursion":
-        pt = compute_psi_theta(d)
-        reached = len(pt._exit_rates)
-        out = [coefficients_recursion(pt, t) for t in times]
-    else:
-        out = [coefficients_single_crossover(d, t) for t in times]
-        reached = 2 ** len(d.entries)  # one entry per cut
-    log.info(
-        "exact route %s on %d sites: %d reachable states, %d stored generator entries",
-        method, d.n_sites, reached, entries,
-    )
-    return out
+    route = exact_route(d, method)
+    log.info("exact route %s on %d sites: %d reachable states, %d stored generator entries",
+             method, d.n_sites, route.reachable, route.entries)
+    return on_output_index([route.at(t) for t in times])
 
 
 def mixture_from_coefficients(

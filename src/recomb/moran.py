@@ -83,7 +83,7 @@ class PopulationState:
         individuals, also where float rounding past 2**53 gains or loses
         whole ones;
         mode 'multinomial' draws N individuals iid from w with the package
-        RNG, reproducible from the seed.
+        RNG: the start replicate 0 of a Moran batch from `seed` redraws.
         """
         N = check_count(N, "population size", maximum=MAX_COUNT)
         if not w.space.dense:
@@ -116,12 +116,7 @@ class PopulationState:
                 short += sum(take.tolist())
             return cls(w.space, base)
         if mode == "multinomial":
-            u = _kernels.stream_uniforms(seed, 0, N)
-            idx = np.searchsorted(np.cumsum(probs), u, side="right")
-            counts = np.bincount(
-                np.minimum(idx, probs.size - 1), minlength=probs.size
-            ).astype(np.int64)
-            return cls(w.space, counts)
+            return cls(w.space, _kernels.multinomial_start(probs, N, seed))
         raise DomainError(f"unknown initialization mode {mode!r}")
 
     def count(self, t) -> int:

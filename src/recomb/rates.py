@@ -88,8 +88,6 @@ class RecombinationDistribution:
                 raise DomainError(
                     f"probability {r} for {a.to_text()} must be nonnegative and finite"
                 )
-            if a in clean:
-                raise DomainError(f"duplicate entry for {a.to_text()}")
             if r > 0:
                 clean[a] = r
         total = sum(clean.values())

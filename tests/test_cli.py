@@ -621,7 +621,8 @@ def test_verbose_logging_flag(configs, tmp_path):
 
 @pytest.mark.parametrize(
     "command, config",
-    [("solve-exact", "model"), ("coefficients", "model"), ("crosscheck", "cross")],
+    [("solve-exact", "model"), ("coefficients", "model"), ("crosscheck", "cross"),
+     ("crosscheck", "tied_sc")],
 )
 def test_info_logging_explains_the_exact_route_and_leaves_results_alone(
     configs, tmp_path, command, config
@@ -633,10 +634,18 @@ def test_info_logging_explains_the_exact_route_and_leaves_results_alone(
                      env_extra={"RECOMB_LOG": "info"})
     assert plain.returncode == logged.returncode == 0, logged.stderr
     assert "exact route" not in plain.stderr
-    # three sites, all five partitions reached: 6 splits plus 5 diagonals
-    assert ("exact route semigroup on 3 sites: 5 reachable states, "
-            "11 stored generator entries") in logged.stderr
-    if command == "crosscheck":
+    if config == "tied_sc":
+        # the four interval partitions: 4 splits plus 4 diagonals; the
+        # closed form stores no generator
+        assert ("exact route semigroup on 3 sites: 4 reachable states, "
+                "8 stored generator entries") in logged.stderr
+        assert ("exact route single_crossover on 3 sites: 4 reachable states, "
+                "0 stored generator entries") in logged.stderr
+    else:
+        # three sites, all five partitions reached: 6 splits plus 5 diagonals
+        assert ("exact route semigroup on 3 sites: 5 reachable states, "
+                "11 stored generator entries") in logged.stderr
+    if config == "cross":
         assert "exact route recursion on 3 sites: 5 reachable states" in logged.stderr
     names = sorted(os.listdir(quiet))
     assert names and names == sorted(os.listdir(loud))

@@ -1,7 +1,7 @@
-"""Package structure: no module reaches into a sibling's private names,
-the model module stays off the lattice and the reachable-state cap, and
-only the partition and model modules read ``sort_key``, so the event order
-has one owner."""
+"""Package structure: no module reaches into a sibling's private names or
+the private slots of the exact routes' classes, the model module stays off
+the lattice and the reachable-state cap, and only the partition and model
+modules read ``sort_key``, so the event order has one owner."""
 
 import ast
 from pathlib import Path
@@ -22,6 +22,29 @@ def test_no_private_names_imported_from_sibling_modules():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_only_the_routes_module_reads_the_private_slots_of_its_classes():
+    # a route's sizes come from the prepared route, not from its internals
+    private = set()
+    for node in ast.walk(ast.parse((SRC / "ancestral.py").read_text())):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    private.update(
+                        name for name in ast.literal_eval(stmt.value) if name.startswith("_")
+                    )
+    assert {"_table", "_exit_rates"} <= private
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ancestral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                readers.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert readers == []
 
 
 def test_the_model_module_imports_nothing_of_the_lattice_or_the_cap():

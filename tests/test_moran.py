@@ -140,6 +140,23 @@ def test_from_distribution_multinomial_mode(w0_3, space3):
         )
 
 
+def test_multinomial_start_is_the_moran_batch_start(model3, space3):
+    # from_distribution draws the start replicate 0 of a Moran batch
+    # redraws, so a population built from it matches the batch's counts
+    rng = np.random.default_rng(38)
+    types = list(space3.types())
+    for k in range(30):
+        w = rng.uniform(0.0, 1.0, len(types))
+        w[k % len(types)] = 0.0  # a zero-weight type
+        dist = TypeDistribution.from_pairs(space3, zip(types, w.tolist()))
+        N, seed = int(rng.integers(1, 500)), int(rng.integers(0, 2**63))
+        z = PopulationState.from_distribution(dist, N, mode="multinomial", seed=seed)
+        z0 = PopulationState(space3, {types[0]: N})
+        batch = simulate_moran_grid(model3, z0, [0.0], seed, multinomial_from=dist)
+        assert z.counts.tolist() == batch[0, 0].tolist(), (k, N, seed)
+        assert z.counts[k % len(types)] == 0
+
+
 # ---------------------------------------------------------------------------
 # forward process
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ lattice, and past the 8-site lattice the semigroup must agree with the
 closed form and with the closed forms of its 8-site marginal models.
 """
 
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from recomb import (
+    CoefficientVector,
     DomainError,
     Partition,
     PartitionIndex,
@@ -27,6 +30,7 @@ from recomb import (
     shared_index,
     two_block_partitions,
 )
+from recomb.ancestral import on_output_index
 
 TIMES = (0.1, 1.0, 10.0)
 
@@ -318,3 +322,60 @@ def test_the_closed_form_lists_its_states_without_walking_the_model(monkeypatch)
     d = crossover_model(10, 1)
     coeffs = coefficients_single_crossover(d, 1.0)
     assert len(coeffs.index) == 512 and abs(coeffs.total() - 1.0) <= 1e-12
+
+
+def reference_closed_form(d, times):
+    """The closed form as first written on the reachable states: list the
+    interval states, then for each time one ``math.prod`` per state over
+    every cut in ascending order."""
+    n = d.n_sites
+    cuts = [a.blocks[0][-1] for a in d.entries]
+    states = []
+    for chosen in itertools.product((False, True), repeat=len(cuts)):
+        bounds = [0, *(k for k, on in zip(cuts, chosen) if on), n]
+        states.append(tuple((1 << hi) - (1 << lo) for lo, hi in zip(bounds, bounds[1:])))
+    index = PartitionIndex.from_states(d.ground, states)
+    ends = [{m.bit_length() for m in state} for state in index.states]
+    out = []
+    for t in times:
+        survive = [math.exp(-t * d.cut_rate(k)) for k in range(1, n)]
+        values = np.zeros(len(index))
+        for i, e in enumerate(ends):
+            values[i] = math.prod(1.0 - s if k in e else s for k, s in enumerate(survive, start=1))
+        out.append(CoefficientVector(index, values))
+    return on_output_index(out)
+
+
+LONG_TIMES = (0.0, 0.1, 1.0, 10.0, 1e3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: crossover_model(8, 56),
+        lambda: crossover_model(12, 84),
+        lambda: crossover_model(16, 112),
+        lambda: RecombinationDistribution.single_crossover([0.3, 0.0, 0.7, 0.2, 0.0]),
+    ],
+    ids=["n8", "n12", "n16", "zero-rate-cut"],
+)
+def test_the_prepared_closed_form_is_bitwise_the_per_time_product(make):
+    d = make()
+    got = exact_coefficients(d, LONG_TIMES, "single_crossover")
+    for t, a, want in zip(LONG_TIMES, got, reference_closed_form(d, LONG_TIMES)):
+        assert a.index.states == want.index.states
+        assert a.values.tobytes() == want.values.tobytes(), t
+    assert coefficients_single_crossover(d, 1.0).values.tobytes() == got[2].values.tobytes()
+
+
+def test_the_closed_form_lists_its_states_once_for_many_times(monkeypatch):
+    calls = []
+    from_states = PartitionIndex.from_states.__func__
+
+    def counted(cls, ground, states):
+        calls.append(ground)
+        return from_states(cls, ground, states)
+
+    monkeypatch.setattr(PartitionIndex, "from_states", classmethod(counted))
+    got = exact_coefficients(crossover_model(10, 5), LONG_TIMES, "single_crossover")
+    assert len(got) == 5 and len(calls) == 1
