@@ -23,15 +23,18 @@ The kernels walk their replicates in one of three ways:
   stream.  Their runs are few and long (thousands of events each), so
   lanes would stay nearly empty; but the k-th uniform of a stream is
   mix(s0 + k * golden), a function of the counter alone, so
-  `_block_uniforms` computes a block of it in one numpy call and the
-  walk reads the block from a Python list, over Python ints.  They stay
-  bitwise equal to the draw-at-a-time walk (kept in the tests as the
-  reference) because they read the same uniforms in the same order and
-  compute the same numbers from them: ``int(u * N)`` with the N - 1
-  clamp, the first running count total above it (``bisect_right``),
-  event probabilities summed left to right, offspring types from integer
-  digit tables, ``math.log`` waiting times, and the multinomial start
-  (``multinomial_start``, also ``PopulationState.from_distribution``'s).
+  `_block_uniforms` computes a block of it in one numpy call.  Where
+  each event starts is a function of the stream too, so numpy decodes
+  the block's events, and a Python loop over Python ints does only the
+  lookups on the population.  They stay bitwise equal to the
+  draw-at-a-time walk (kept in the tests as the reference) because they
+  read the same uniforms in the same order and compute the same numbers
+  from them: ``int(u * N)`` with the N - 1 clamp, the first running
+  count total above it (``bisect_right``), event probabilities summed
+  left to right (the first above the draw: ``searchsorted`` on the right
+  side), offspring types from integer digit tables, ``math.log`` waiting
+  times added in order, and the multinomial start (``multinomial_start``,
+  also ``PopulationState.from_distribution``'s).
 * The ARG and reconstruction kernels walk one replicate at a time over
   the same kind of bulk-drawn stream, but their replicates are many and
   short (a few dozen uniforms each): the first `_ARG_BLOCK` uniforms of
@@ -372,7 +375,7 @@ def partition_history(ent_mask1, ent_rate, n_sites, start_blocks, t_end, seed, r
 # forward Moran model: one replicate at a time on a bulk-drawn stream
 # --------------------------------------------------------------------------
 
-# Uniforms per numpy block of a Moran replicate's stream.
+# Most uniforms per numpy read of a Moran replicate's stream.
 _BLOCK = 4096
 
 # Most uniforms one event reads: its waiting time, one individual (the
@@ -469,32 +472,88 @@ def _moran_event(buf, i, cum, N, cum_prob, tables):
     return y, first[pa] + second[pb], i + 4
 
 
-def _moran_walk(counts, mu, duration, src, cum_prob, tables):
-    """Advance `counts` (a list of ints) over a window of length `duration`.
+def _event_starts(ev, n_ev, m):
+    """Start of every event, from a block's first one on, that begins at
+    one of the block's first m positions, and the start after the last.
+
+    An event reads its waiting time, an individual, its event draw (ev at
+    start + 2) and one parent, and a second parent if the draw falls on a
+    recombination (ev < n_ev): the next start is start + 4 or start + 5,
+    set by the stream alone.  The chain from 0 comes from pointer doubling
+    (the starts so far, then each one's jump; the jumps squared), with
+    position m standing for every start past the first m.
+    """
+    nxt = np.arange(4, m + 4) + (ev[2 : m + 2] < n_ev)
+    jump = np.append(np.minimum(nxt, m), m)
+    starts = np.zeros(1, np.intp)
+    while starts[-1] < m:
+        starts = np.concatenate([starts, jump[starts]])
+        jump = jump[jump]
+    starts = starts[: np.searchsorted(starts, m)]
+    return starts, int(nxt[starts[-1]])
+
+
+def _moran_walk(counts, mu, duration, s0, k, cum_prob, tables):
+    """Advance `counts` (a list of ints) over a window of length `duration`
+    on the stream at state s0 whose first k uniforms are read; returns the
+    number read after the window.
 
     Every event starts with its waiting time; the draw that overshoots the
     window is consumed.  A window without positive total rate N * mu
-    leaves the counts and the stream as they are.
+    leaves the counts and the stream as they are.  Each read of the stream
+    is decoded in numpy (`_event_starts`, the event draws, the individuals
+    ``min(int(u * N), N - 1)``, and the clock, a sequential cumsum of
+    ``math.log`` waiting times), sized from the events the rest of the
+    window expects; the loop over its events keeps the lookups on the
+    running counts `cum` and moves one individual's worth of them between
+    the dying type and the offspring type.
     """
     N = sum(counts)
     rate = N * mu
     if N <= 0 or duration <= 0.0 or not rate > 0.0:
-        return
+        return k
     cum = list(itertools.accumulate(counts))
-    buf, i, t = src.buf, src.pos, 0.0
+    cp, n_ev = np.array(cum_prob), len(cum_prob)
+    t = 0.0
     while True:
-        if i > len(buf) - _EVENT_DRAWS:
-            src.pos = i
-            buf, i = src.refill(), 0
-        t += -math.log(1.0 - buf[i]) / rate
-        if t > duration:
-            src.pos = i + 1
-            return
-        y, x, i = _moran_event(buf, i + 1, cum, N, cum_prob, tables)
-        if x != y:
-            counts[y] -= 1
-            counts[x] += 1
-            cum = list(itertools.accumulate(counts))
+        # the rest of the window expects `left` events, and rarely holds
+        # more than 3 standard deviations above that
+        left = rate * (duration - t)
+        want = _EVENT_DRAWS * (left + 3.0 * math.sqrt(left) + 3.0)
+        n = int(want) if want < _BLOCK else _BLOCK
+        u = _block_uniforms(s0, k, n)
+        ev = np.searchsorted(cp, u, side="right")
+        starts, after = _event_starts(ev, n_ev, n - _EVENT_DRAWS + 1)
+        # math.log, not np.log, which differs in the last bit on some inputs
+        logs = np.fromiter(map(math.log, (1.0 - u[starts]).tolist()), np.float64, starts.size)
+        clock = -logs / rate
+        clock[0] += t
+        clock = np.cumsum(clock)
+        # the clock never falls: it passes the window's end iff at its last
+        over = clock > duration
+        last = int(over.argmax()) if over[-1] else starts.size
+        ind = np.minimum((u * float(N)).astype(np.int64), N - 1)
+        at = starts[:last]
+        for ry, e, ra, rb in zip(
+            ind[at + 1].tolist(), ev[at + 2].tolist(), ind[at + 3].tolist(),
+            ind[at + 4].tolist(),
+        ):
+            y = bisect_right(cum, ry)
+            x = bisect_right(cum, ra)
+            if e < n_ev:
+                first, second = tables[e]
+                x = first[x] + second[bisect_right(cum, rb)]
+            if x > y:
+                for j in range(y, x):
+                    cum[j] -= 1
+            elif x < y:
+                for j in range(x, y):
+                    cum[j] += 1
+        if last < starts.size:
+            counts[:] = [b - a for a, b in zip([0] + cum, cum)]
+            return k + int(starts[last]) + 1
+        t = float(clock[-1])
+        k += after
 
 
 @_entry
@@ -528,13 +587,13 @@ def moran_batch(
     for rr in range(n_reps):
         s0 = _stream_state(seed, rep_lo + rr)
         if multinomial_from is None:
-            counts, src = init.copy(), _Stream(s0)
+            counts, k = init.copy(), 0
         else:
             counts = multinomial_start(multinomial_from, N, seed, rep_lo + rr).tolist()
-            src = _Stream(s0, N)
+            k = N
         prev = 0.0
         for ti, t in enumerate(t_grid):
-            _moran_walk(counts, mu, t - prev, src, cum_prob, tables)
+            k = _moran_walk(counts, mu, t - prev, s0, k, cum_prob, tables)
             prev = t
             out[rr, ti] = counts
     return out
@@ -559,7 +618,7 @@ def moran_tv_batch(
     for rr in range(n_reps):
         s0 = _stream_state(seed, rep_lo + rr)
         counts = multinomial_start(w0, N, seed, rep_lo + rr).tolist()
-        _moran_walk(counts, mu, t_end, _Stream(s0, N), cum_prob, tables)
+        _moran_walk(counts, mu, t_end, s0, N, cum_prob, tables)
         acc = 0.0
         for c, w in zip(counts, target):
             acc += abs(c / N - w)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import logging
@@ -161,17 +162,25 @@ def _chunks(total: int, jobs: int):
         lo += count
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunked(fn, total: int, jobs: int):
     """Split a replicate batch into chunks and run them on a thread pool.
 
     Replicate r always draws from the same stream keyed by (seed, r), so
     the split is invisible in the output.  At most one thread per CPU
-    runs the chunks, whatever `jobs` asks for.
+    this process may run on runs the chunks, whatever `jobs` asks for.
     """
     pieces = list(_chunks(total, jobs))
     if len(pieces) == 1:
         return [fn(0, total)]
-    with ThreadPoolExecutor(max_workers=min(len(pieces), os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(pieces), _cpu_count())) as pool:
         futures = [pool.submit(fn, lo, count) for lo, count in pieces]
         return [f.result() for f in futures]
 
@@ -409,10 +418,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parsing leaves it as it is, and no
+    option has a mutable default."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = ModelConfig.load(args.config)
         if cfg.run.mode is not None and cfg.run.mode != args.command:

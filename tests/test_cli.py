@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -418,6 +418,37 @@ def test_moran_csv_and_parallel_determinism(configs, tmp_path):
     assert no_stray_tmp(one)
 
 
+def test_main_builds_its_parser_once_and_writes_what_single_calls_write(
+    configs, tmp_path, monkeypatch
+):
+    built = []
+    build = cli._build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._parser.cache_clear()
+    runs = [("simulate-moran", "moran"), ("coefficients", "model"),
+            ("simulate-moran", "moran"), ("lln-report", "lln")]
+    try:
+        for k, (command, config) in enumerate(runs):
+            out = tmp_path / f"in-process-{k}"
+            assert cli.main([command, "--config", configs[config], "--out", str(out)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    for k, (command, config) in enumerate(runs):
+        alone, together = tmp_path / f"alone-{k}", tmp_path / f"in-process-{k}"
+        res = run_cli(command, "--config", configs[config], "--out", str(alone))
+        assert res.returncode == 0, res.stderr
+        names = sorted(os.listdir(alone))
+        assert names and names == sorted(os.listdir(together))
+        for name in names:
+            assert (together / name).read_bytes() == (alone / name).read_bytes()
+
+
 def test_arg_json_and_parallel_determinism(configs, tmp_path):
     one, two = tmp_path / "j1", tmp_path / "j2"
     res1 = run_cli(
@@ -598,10 +629,30 @@ def test_jobs_split_the_batch_but_threads_stop_at_the_cpu_count(monkeypatch, job
             return future
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", Inline)
+    # a platform without an affinity call: the host's count decides
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._cpu_count() == (cpus or 1)
     pieces = cli._run_chunked(lambda lo, count: (lo, count), 5000, jobs)
     assert opened == [workers]
     assert pieces == list(cli._chunks(5000, jobs)) and len(pieces) == jobs
+
+
+def test_jobs_threads_stop_at_the_cpus_this_process_may_run_on(monkeypatch):
+    opened = []
+
+    class Counting(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Counting)
+    # an affinity mask of one CPU on an eight-CPU host
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    pieces = cli._run_chunked(lambda lo, count: (lo, count), 10, 4)
+    assert opened == [1]
+    assert pieces == list(cli._chunks(10, 4))
 
 
 def test_usage_errors():

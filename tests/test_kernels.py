@@ -495,6 +495,10 @@ MORAN_MODELS = {
     "three-site": (lambda: _general(3, 3), [2, 2, 2]),
     "three-alleles": (lambda: _general(3, 33), [2, 3, 2]),
     "crossover-4": (lambda: _crossover(4, 404), [2, 2, 2, 2]),
+    # every event draw falls past the (empty) running probabilities
+    "no-recombination": (
+        lambda: RecombinationDistribution.from_probabilities((1, 2, 3), 1.5, {}), [2, 2, 2]
+    ),
 }
 
 
@@ -542,6 +546,44 @@ def test_moran_kernels_match_scalar_walk(name, stored_tables, block, monkeypatch
         with np.errstate(divide="ignore"):
             want = _moran_reference(case, 0.0, grid, 7, 0)
         assert np.array_equal(still[0], want)
+    places, sizes = np.array(space.places), np.array(space.alphabet_sizes)
+    # N = 3000: windows of thousands of events span several full blocks;
+    # the repeated time leaves a window of length zero between two others
+    counts = np.bincount(rng.integers(0, n_types, 3000), minlength=n_types)
+    case = (counts, places, sizes, masks, probs)
+    long_grid = [0.4, 0.4, 1.0]
+    long = K.moran_batch(*case, d.mu, long_grid, 5, 1, rep_lo=6)
+    assert np.array_equal(long[0], _moran_reference(case, d.mu, long_grid, 5, 6))
+    # N = 2**62 over two types, a few events a window: the individuals
+    # int(u * N) run up to 2**62 and need the whole int64 cast
+    counts = np.zeros(n_types, np.int64)
+    counts[[2, n_types - 1]] = 2**61
+    case = (counts, places, sizes, masks, probs)
+    huge = K.moran_batch(*case, 2.0**-60, grid, 3, 3)
+    for r in range(3):
+        want = _moran_reference(case, 2.0**-60, grid, 3, r)
+        assert np.array_equal(huge[r], want), f"{name} N=2**62 replicate {r}"
+    assert (huge.sum(axis=2) == 2**62).all()
+
+
+def test_a_short_moran_window_reads_a_short_stretch_of_its_stream(model_arrays, monkeypatch):
+    """A read is sized from the events the window expects, so a toy run
+    (the warm-up's) does not decode a full block."""
+    reads = []
+
+    def counted(s0, k0, count):
+        reads.append(count)
+        return block_uniforms(s0, k0, count)
+
+    block_uniforms = K._block_uniforms
+    monkeypatch.setattr(K, "_block_uniforms", counted)
+    masks, probs = model_arrays
+    places, sizes = np.array([4, 2, 1]), np.array([2, 2, 2])
+    counts = np.array([2, 0, 0, 0, 0, 0, 0, 2])
+    # N = 4 at mu = 1: two events expected in each window of 0.5
+    out = K.moran_batch(counts, places, sizes, masks, probs, 1.0, [0.5, 1.0], 1, 1)
+    assert out.sum() == 8
+    assert 0 < sum(reads) <= 200
 
 
 # ---------------------------------------------------------------------------
