@@ -375,8 +375,15 @@ def partition_history(ent_mask1, ent_rate, n_sites, start_blocks, t_end, seed, r
 # forward Moran model: one replicate at a time on a bulk-drawn stream
 # --------------------------------------------------------------------------
 
-# Most uniforms per numpy read of a Moran replicate's stream.
+# Uniforms per refill of a `_Stream`.
 _BLOCK = 4096
+
+# Most uniforms per read of the forward walk (`_moran_walk`): a read
+# covers a window of a few thousand events.  Numpy releases the GIL in
+# each call on a read, and every release hands the GIL to a waiting
+# thread, so under ``--jobs`` fewer, longer reads keep the threads from
+# trading it hundreds of times per replicate.
+_READ = 4 * _BLOCK
 
 # Most uniforms one event reads: its waiting time, one individual (the
 # dying one, or the ancestor that moves back), the recombination event,
@@ -473,24 +480,21 @@ def _moran_event(buf, i, cum, N, cum_prob, tables):
 
 
 def _event_starts(ev, n_ev, m):
-    """Start of every event, from a block's first one on, that begins at
-    one of the block's first m positions, and the start after the last.
+    """Start of every event, from a read's first one on, that begins at
+    one of its first m positions, and the start after the last.
 
     An event reads its waiting time, an individual, its event draw (ev at
     start + 2) and one parent, and a second parent if the draw falls on a
     recombination (ev < n_ev): the next start is start + 4 or start + 5,
-    set by the stream alone.  The chain from 0 comes from pointer doubling
-    (the starts so far, then each one's jump; the jumps squared), with
-    position m standing for every start past the first m.
+    set by the stream alone.  `ev` is a list; the chain is a Python loop,
+    so it holds the GIL (see `_READ`).
     """
-    nxt = np.arange(4, m + 4) + (ev[2 : m + 2] < n_ev)
-    jump = np.append(np.minimum(nxt, m), m)
-    starts = np.zeros(1, np.intp)
-    while starts[-1] < m:
-        starts = np.concatenate([starts, jump[starts]])
-        jump = jump[jump]
-    starts = starts[: np.searchsorted(starts, m)]
-    return starts, int(nxt[starts[-1]])
+    starts = []
+    s = 0
+    while s < m:
+        starts.append(s)
+        s += 5 if ev[s + 2] < n_ev else 4
+    return np.array(starts, np.intp), s
 
 
 def _moran_walk(counts, mu, duration, s0, k, cum_prob, tables):
@@ -501,10 +505,10 @@ def _moran_walk(counts, mu, duration, s0, k, cum_prob, tables):
     Every event starts with its waiting time; the draw that overshoots the
     window is consumed.  A window without positive total rate N * mu
     leaves the counts and the stream as they are.  Each read of the stream
-    is decoded in numpy (`_event_starts`, the event draws, the individuals
+    is decoded in numpy (the event draws, the individuals
     ``min(int(u * N), N - 1)``, and the clock, a sequential cumsum of
-    ``math.log`` waiting times), sized from the events the rest of the
-    window expects; the loop over its events keeps the lookups on the
+    ``math.log`` waiting times) after `_event_starts` chains its events,
+    sized from the events the rest of the window expects; the loop over its events keeps the lookups on the
     running counts `cum` and moves one individual's worth of them between
     the dying type and the offspring type.
     """
@@ -520,10 +524,10 @@ def _moran_walk(counts, mu, duration, s0, k, cum_prob, tables):
         # more than 3 standard deviations above that
         left = rate * (duration - t)
         want = _EVENT_DRAWS * (left + 3.0 * math.sqrt(left) + 3.0)
-        n = int(want) if want < _BLOCK else _BLOCK
+        n = int(want) if want < _READ else _READ
         u = _block_uniforms(s0, k, n)
         ev = np.searchsorted(cp, u, side="right")
-        starts, after = _event_starts(ev, n_ev, n - _EVENT_DRAWS + 1)
+        starts, after = _event_starts(ev.tolist(), n_ev, n - _EVENT_DRAWS + 1)
         # math.log, not np.log, which differs in the last bit on some inputs
         logs = np.fromiter(map(math.log, (1.0 - u[starts]).tolist()), np.float64, starts.size)
         clock = -logs / rate

@@ -502,14 +502,17 @@ MORAN_MODELS = {
 }
 
 
-@pytest.mark.parametrize("block", [K._BLOCK, 7], ids=["block", "short-blocks"])
+@pytest.mark.parametrize("block, read", [(K._BLOCK, K._READ), (7, 7)],
+                         ids=["block", "short-blocks"])
 @pytest.mark.parametrize("stored_tables", [True, False], ids=["tables", "digit-sums"])
 @pytest.mark.parametrize("name", sorted(MORAN_MODELS))
-def test_moran_kernels_match_scalar_walk(name, stored_tables, block, monkeypatch):
+def test_moran_kernels_match_scalar_walk(name, stored_tables, block, read, monkeypatch):
     if not stored_tables:  # offspring digit sums computed per lookup
         monkeypatch.setattr(K, "_TABLE_CAP", 0)
     # short blocks make every walk carry unread uniforms into the next block
+    # (the event-pair stream's refills and the forward walk's reads)
     monkeypatch.setattr(K, "_BLOCK", block)
+    monkeypatch.setattr(K, "_READ", read)
     d, alleles = MORAN_MODELS[name][0](), MORAN_MODELS[name][1]
     space = TypeSpace(alleles)
     n_types = space.cardinality
@@ -547,11 +550,11 @@ def test_moran_kernels_match_scalar_walk(name, stored_tables, block, monkeypatch
             want = _moran_reference(case, 0.0, grid, 7, 0)
         assert np.array_equal(still[0], want)
     places, sizes = np.array(space.places), np.array(space.alphabet_sizes)
-    # N = 3000: windows of thousands of events span several full blocks;
+    # N = 3000: windows of thousands of events span several full reads;
     # the repeated time leaves a window of length zero between two others
     counts = np.bincount(rng.integers(0, n_types, 3000), minlength=n_types)
     case = (counts, places, sizes, masks, probs)
-    long_grid = [0.4, 0.4, 1.0]
+    long_grid = [0.4, 0.4, 2.5]
     long = K.moran_batch(*case, d.mu, long_grid, 5, 1, rep_lo=6)
     assert np.array_equal(long[0], _moran_reference(case, d.mu, long_grid, 5, 6))
     # N = 2**62 over two types, a few events a window: the individuals
