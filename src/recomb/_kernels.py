@@ -849,7 +849,7 @@ def reconstruct_batch(
 # --------------------------------------------------------------------------
 
 
-def rhs_dense(w, idx1, idx2, rates):
+def rhs_dense(w, idx1, idx2, rates, mass=None):
     """Sum of rate * (blockwise product measure - w) over the events.
 
     Row e of idx1/idx2 maps each flat type index to its block-1/block-2
@@ -857,9 +857,12 @@ def rhs_dense(w, idx1, idx2, rates):
     events before it (precomputed by the caller), so one bincount per
     block side builds every event's marginal.  Bitwise equal to a
     per-event loop: each bin adds its types in index order, and the event
-    rows are summed in event order starting from zero.
+    rows are summed in event order starting from zero.  `mass` defaults to
+    ``w.sum()``; a caller stepping part of a space passes the sum of the
+    whole, which rounds differently.
     """
-    mass = w.sum()
+    if mass is None:
+        mass = w.sum()
     if mass <= 0.0:
         return np.zeros_like(w)
     tiled = np.tile(w, len(rates))

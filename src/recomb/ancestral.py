@@ -15,8 +15,10 @@ Plus the discrete-time transition matrix and its power iteration.
 
 The generator, the discrete matrix and ``PsiTheta`` run on mask states
 (see :mod:`.partitions`) with rates from ``RecombinationDistribution``'s
-split table, refinement step ``children`` and ``exit_rate``; ``PsiTheta``
-takes each subset's reachable states from its merge tables (one per split).
+split table, refinement step ``children`` and ``exit_rate``; each builder
+reads the split tables through its own memo (``_memoized``), dropped when
+it returns, so the model keeps none.  ``PsiTheta`` takes each subset's
+reachable states from its merge tables (one per split).
 The semigroup and single-crossover routes index the states the model
 reaches from the one-block partition: ``build_generator(d)`` walks them,
 the closed form lists them once per model, and both refuse past
@@ -232,8 +234,10 @@ def build_generator(
     must hold every state its states step to, such as the lattice.
     Without `index`, the states are those the model reaches from the
     one-block partition (``PartitionIndex.from_states``), found by one walk
-    whose steps are kept until their row is written.
+    whose steps are kept until their row is written.  The split tables are
+    memoized for this call only.
     """
+    d = d._memoized()
     if index is None:
         steps = _walk(d)
         index, step = PartitionIndex.from_states(d.ground, steps), steps.pop
@@ -411,7 +415,7 @@ class PsiTheta:
     def __init__(self, d: RecombinationDistribution):
         self.d = d
         self.index = shared_index(d.ground)
-        self._table, self._exit_rates = self._build((1 << d.n_sites) - 1, {})
+        self._table, self._exit_rates = self._build(d._memoized(), (1 << d.n_sites) - 1, {})
 
     def psi(self, a: Partition) -> float:
         return self.d.exit_rate(tuple(self.d.site_mask(b) for b in a.blocks))
@@ -426,27 +430,28 @@ class PsiTheta:
         parts, pos = self.index.partitions, self.index.position
         return {(parts[pos[a]], parts[pos[b]]): v for (a, b), v in self._table.items()}
 
-    def _build(self, u: int, tables: dict):
+    def _build(self, d: RecombinationDistribution, u: int, tables: dict):
         """Weights on the site subset with mask u, keyed by mask states, and
-        the exit rates of the states reachable from (u,); refuses ties."""
+        the exit rates of the states reachable from (u,), read from the
+        model view `d`; refuses ties."""
         if u in tables:
             return tables[u]
         one = (u,)
         reachable = {one}
         subs = []
-        for c1, c2, rate in self.d.split_table(u)[1]:
-            t1, r1 = self._build(c1, tables)
-            t2, r2 = self._build(c2, tables)
+        for c1, c2, rate in d.split_table(u)[1]:
+            t1, r1 = self._build(d, c1, tables)
+            t2, r2 = self._build(d, c2, tables)
             merge = {(x1, x2): mask_state(x1 + x2) for x1 in r1 for x2 in r2}
             reachable.update(merge.values())
             subs.append((t1, t2, rate, merge))
-        psi = {state: self.d.exit_rate(state) for state in reachable}
+        psi = {state: d.exit_rate(state) for state in reachable}
         values = sorted(psi.values())
         for lo, hi in zip(values, values[1:]):
             if hi - lo <= _GENERIC_RTOL * max(1.0, abs(hi)):
                 raise NonGenericRatesError(
                     "exit rates collide on reachable states of sites "
-                    f"{Partition.from_masks([u], self.d.ground).ground} "
+                    f"{Partition.from_masks([u], d.ground).ground} "
                     f"({lo!r} vs {hi!r}); the exponential-mixture form needs "
                     "pairwise distinct rates - use the semigroup method for "
                     "this model"
@@ -648,6 +653,7 @@ def build_discrete_matrix(
         )
     if index.ground != d.ground:
         raise DomainError(f"index ground {index.ground} does not match {d.ground}")
+    d = d._memoized()
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []

@@ -107,42 +107,80 @@ def _check_model_space(d: RecombinationDistribution, w: TypeDistribution) -> Non
 class _VectorField:
     """Precomputed flat-index maps for the dense right-hand side.
 
-    Row e of idx1/idx2 sends a flat type index to its marginal bin on
-    block 1/block 2 of event e; each event's bins follow the previous
-    event's, so all block marginals of a side are one bincount pass.
-    ``probs`` holds r(A) and ``rates`` mu * r(A) per event, in
-    ``event_arrays`` order; callers check the model's sites against the
-    space first.
+    The field steps the product of ``letters`` (per site, the letters kept;
+    all of them by default): recombination keeps every one-site marginal,
+    so a letter absent at t = 0 stays absent and its types stay at zero.
+    ``where`` is the increasing map from the stepped types to their
+    full-space indices.  Row e of idx1/idx2 sends a stepped type to its
+    marginal bin on block 1/block 2 of event e; each event's bins follow
+    the previous event's, so all block marginals of a side are one
+    bincount pass.  ``probs`` holds r(A) and ``rates`` mu * r(A) per
+    event, in ``event_arrays`` order; callers check the model's sites
+    against the space first.
     """
 
-    __slots__ = ("space", "probs", "rates", "idx1", "idx2")
+    __slots__ = ("space", "probs", "rates", "idx1", "idx2", "where", "_full")
 
-    def __init__(self, d: RecombinationDistribution, space: TypeSpace):
+    def __init__(
+        self,
+        d: RecombinationDistribution,
+        space: TypeSpace,
+        letters: Sequence[np.ndarray] | None = None,
+    ):
         masks, self.probs = d.event_arrays()
-        n, K = space.n_sites, space.cardinality
-        digits = np.empty((n, K), dtype=np.int64)
-        flat = np.arange(K, dtype=np.int64)
+        if letters is None:
+            letters = [np.arange(s, dtype=np.int64) for s in space.alphabet_sizes]
+        n = space.n_sites
+        sizes = [len(x) for x in letters]
+        # per site, each stepped type's rank among the letters kept
+        digits = np.indices(sizes, dtype=np.int64).reshape(n, -1)
+        K = digits.shape[1]
+        where = np.zeros(K, dtype=np.int64)
         for i in range(n):
-            digits[i] = (flat // space.places[i]) % space.alphabet_sizes[i]
+            where += letters[i][digits[i]] * space.places[i]
         idx1 = np.zeros((len(masks), K), dtype=np.int64)
         idx2 = np.zeros((len(masks), K), dtype=np.int64)
         # block 1 is the mask's sites, block 2 the complement's
         for flip, idx in ((0, idx1), ((1 << n) - 1, idx2)):
             offset = 0
             for e, mask in enumerate(masks.tolist()):
-                block = [i for i in range(n) if (mask ^ flip) >> i & 1]
-                sub = space.subspace(i + 1 for i in block)
+                bins = 1
                 idx[e] = offset
-                for pos, i in enumerate(block):
-                    idx[e] += digits[i] * sub.places[pos]
-                offset += sub.cardinality
+                for i in reversed(range(n)):
+                    if (mask ^ flip) >> i & 1:
+                        idx[e] += digits[i] * bins
+                        bins *= sizes[i]
+                offset += bins
         self.space = space
         self.rates = self.probs * d.mu
         self.idx1 = idx1
         self.idx2 = idx2
+        self.where = where
+        self._full = np.zeros(space.cardinality)
+
+    @classmethod
+    def reaching(cls, d: RecombinationDistribution, w0: TypeDistribution) -> "_VectorField":
+        """The field on the letters present in w0 (those of positive
+        one-site marginal): the types its flow reaches."""
+        space = w0.space
+        held = np.flatnonzero(w0._dense > 0.0)
+        return cls(d, space, [np.unique(held // place % size)
+                              for place, size in zip(space.places, space.alphabet_sizes)])
+
+    def mass(self, w: np.ndarray) -> float:
+        """The sum of w laid out on the full space: numpy sums pairwise, so
+        the zeros of the absent types decide how the sum rounds."""
+        self._full[self.where] = w
+        return self._full.sum()
+
+    def full(self, w: np.ndarray) -> np.ndarray:
+        """w as a new full-space array, zero on the types not stepped."""
+        out = np.zeros(self.space.cardinality)
+        out[self.where] = w
+        return out
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        return _kernels.rhs_dense(w, self.idx1, self.idx2, self.rates)
+        return _kernels.rhs_dense(w, self.idx1, self.idx2, self.rates, self.mass(w))
 
 
 def rhs(d: RecombinationDistribution, w: TypeDistribution) -> SignedIncrement:
@@ -159,9 +197,11 @@ def rhs(d: RecombinationDistribution, w: TypeDistribution) -> SignedIncrement:
 
 def _rk4_span(
     field: _VectorField, w: np.ndarray, duration: float, dt: float
-) -> np.ndarray:
-    """Advance w over `duration` with steps of dt (shorter final step)."""
+) -> tuple[np.ndarray, int]:
+    """Advance w over `duration` with steps of dt (shorter final step);
+    returns the state and the number of steps."""
     remaining = duration
+    steps = 0
     while remaining > 1e-15 * max(1.0, duration):
         h = dt if dt <= remaining else remaining
         k1 = field(w)
@@ -170,13 +210,14 @@ def _rk4_span(
         k4 = field(w + h * k3)
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         remaining -= h
-        mass = w.sum()
-        if abs(mass - 1.0) > MASS_TOL:
+        steps += 1
+        mass = field.mass(w)
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise MassDriftError(
                 f"integration mass drifted to {mass!r} (|drift| > {MASS_TOL}); "
                 "reduce dt instead of silently renormalizing"
             )
-    return w
+    return w, steps
 
 
 def integrate(
@@ -196,6 +237,12 @@ def integrate(
     return integrate_grid(d, w0, grid, dt)
 
 
+def _log_stepped(what: str, space: TypeSpace, stepped: int, steps: int, evals: int) -> None:
+    log.info("%s on %d sites: %d of %d types stepped, %d steps, "
+             "%d right-hand-side evaluations", what, space.n_sites, stepped,
+             space.cardinality, steps, evals)
+
+
 def integrate_grid(
     d: RecombinationDistribution,
     w0: TypeDistribution,
@@ -206,21 +253,26 @@ def integrate_grid(
 
     The grid must start at 0 and increase, and is checked before any
     step; integration still proceeds in steps of dt within each span (with
-    a shorter final step per span).
+    a shorter final step per span).  Only the types over the letters
+    present in w0 are stepped; every recorded state is bitwise the one
+    stepped on the whole space.  The stepped size is logged at INFO.
     """
     _check_model_space(d, w0)
     _require_dense(w0, "numerical integration")
     if not 0 < dt < np.inf:
         raise DomainError(f"dt must be positive and finite, got {dt}")
     times = check_grid(t_grid, from_zero=True)
-    field = _VectorField(d, w0.space)
-    w = w0.to_array()
-    if abs(w.sum() - 1.0) > MASS_TOL:
+    if not abs(w0._dense.sum() - 1.0) <= MASS_TOL:
         raise MassDriftError("initial state is not a probability distribution")
+    field = _VectorField.reaching(d, w0)
+    w = w0._dense[field.where]
     states = [w0]
+    steps = 0
     for earlier, later in zip(times, times[1:]):
-        w = _rk4_span(field, w, later - earlier, dt)
-        states.append(TypeDistribution._from_dense(w0.space, w.copy()))
+        w, taken = _rk4_span(field, w, later - earlier, dt)
+        steps += taken
+        states.append(TypeDistribution._from_dense(w0.space, field.full(w)))
+    _log_stepped("integrate_grid", w0.space, len(field.where), steps, 4 * steps)
     return Trajectory(times, states)
 
 
@@ -296,9 +348,11 @@ def iterate_discrete(
     Needs a probability-style model. F_r is the vector field of
     :func:`rhs` with the probabilities r(A) in place of the rates, so a
     generation is sum_A r(A) recombine_A(w) + (1 - sum r) w. On a dense
-    space it is one ``rhs_dense`` pass of the ODE kernel; its increment
+    space it is one ``rhs_dense`` pass of the ODE kernel over the letters
+    present in w0, bitwise the pass over the whole space; its increment
     sums to zero, so mass is kept by construction. A sparse space steps
-    entry by entry with the residual clamped at 0.
+    entry by entry with the residual clamped at 0, over the types it
+    holds. The stepped size is logged at INFO.
     """
     _check_model_space(d, w0)
     if d.style != "probability":
@@ -309,14 +363,16 @@ def iterate_discrete(
     times = [float(s) for s in range(t + 1)]
     states = [w0]
     if w0.is_dense:
-        field = _VectorField(d, w0.space)
-        w = w0._dense
+        field = _VectorField.reaching(d, w0)
+        w = w0._dense[field.where]
         for _ in range(t):
-            w = w + _kernels.rhs_dense(w, field.idx1, field.idx2, field.probs)
-            states.append(TypeDistribution._from_dense(w0.space, w))
+            w = w + _kernels.rhs_dense(w, field.idx1, field.idx2, field.probs, field.mass(w))
+            states.append(TypeDistribution._from_dense(w0.space, field.full(w)))
+        _log_stepped("iterate_discrete", w0.space, len(field.where), t, t)
         return Trajectory(times, states)
     residual = d.residual_probability
     w = w0
+    stepped = len(w0._sparse)
     for _ in range(t):
         acc = {ty: residual * v for ty, v in w.items()}
         for a, r in d.entries.items():
@@ -324,6 +380,8 @@ def iterate_discrete(
                 acc[ty] = acc.get(ty, 0.0) + r * v
         w = TypeDistribution._from_sparse(w.space, acc)
         states.append(w)
+        stepped = max(stepped, len(acc))
+    _log_stepped("iterate_discrete", w0.space, stepped, t, 0)
     return Trajectory(times, states)
 
 

@@ -116,6 +116,16 @@ class TypeSpace:
         return f"TypeSpace({list(self.alphabet_sizes)})"
 
 
+def _check_mass(t, v) -> float:
+    """The mass v at type t as a float; refuses negative and non-finite ones."""
+    v = float(v)
+    if v < 0:
+        raise DomainError(f"negative mass {v} at type {t}")
+    if not v < np.inf:  # NaN and +inf
+        raise DomainError(f"mass {v} at type {t} is not finite")
+    return v
+
+
 class TypeDistribution:
     """A nonnegative finite measure on a :class:`TypeSpace`.
 
@@ -130,18 +140,14 @@ class TypeDistribution:
         if space.dense:
             arr = np.zeros(space.cardinality)
             for t, v in weights.items():
-                v = float(v)
-                if v < 0:
-                    raise DomainError(f"negative mass {v} at type {t}")
+                v = _check_mass(t, v)
                 arr[space.encode(t)] += v
             self._dense = arr
             self._sparse = None
         else:
             d: dict[tuple[int, ...], float] = {}
             for t, v in weights.items():
-                v = float(v)
-                if v < 0:
-                    raise DomainError(f"negative mass {v} at type {t}")
+                v = _check_mass(t, v)
                 if v != 0.0:
                     tt = space.validate_type(t)
                     d[tt] = d.get(tt, 0.0) + v

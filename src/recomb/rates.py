@@ -14,11 +14,13 @@ given partition of u; only the stored support is enumerated, which keeps
 sparse models (e.g. single crossover, n-1 entries) cheap.
 
 The lattice layer works on site bitmasks (bit i: the i-th ground site) and
-mask states (see :mod:`.partitions`): ``split_table`` memoizes the marginal
+mask states (see :mod:`.partitions`): ``split_table`` computes the marginal
 rates per subset mask, ``children`` is the refinement step on it and
-``exit_rate`` is the one owner of exit rates.  ``block_split_rates``,
-``split_rate`` and ``marginal_rate`` convert site tuples and ``Partition``
-objects at the edge and read the same table.  The model keeps only its
+``exit_rate`` is the one owner of exit rates.  The model memoizes nothing:
+a builder that reads many tables takes ``_memoized()``, a view that keeps
+its own tables for the builder's run and is dropped with it.
+``block_split_rates``, ``split_rate`` and ``marginal_rate`` convert site
+tuples and ``Partition`` objects at the edge and read the same table.  The model keeps only its
 rates: the states the refinement process visits belong to
 :mod:`.ancestral`.
 """
@@ -55,7 +57,7 @@ def _in_event_order(entries: Mapping[Partition, float]) -> list[tuple[Partition,
 class RecombinationDistribution:
     """Event rate mu plus probabilities on two-block site partitions."""
 
-    __slots__ = ("ground", "mu", "entries", "style", "_masks", "_tables")
+    __slots__ = ("ground", "mu", "entries", "style", "_masks")
 
     def __init__(
         self,
@@ -98,7 +100,6 @@ class RecombinationDistribution:
         self.entries = clean
         # block-1 mask of each entry, in event order
         self._masks = tuple(a.as_masks()[0] for a in clean)
-        self._tables: dict[int, tuple[float, tuple[tuple[int, int, float], ...]]] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -200,27 +201,32 @@ class RecombinationDistribution:
         return sum(1 << self.ground.index(s) for s in uu)
 
     def split_table(self, u: int) -> tuple[float, tuple[tuple[int, int, float], ...]]:
-        """Marginal event rates on the site subset with mask u, memoized.
+        """Marginal event rates on the site subset with mask u.
 
         Returns (stay, splits): the rate of events keeping u whole (residual
         included), and (part holding u's lowest site, rest, rho^u) for each
         two-block restriction, summed in event order.
         """
-        table = self._tables.get(u)
-        if table is None:  # threads racing here store equal tables
-            low = u & -u
-            stay = self.mu * self.residual_probability
-            rates: dict[int, float] = {}
-            for m, r in zip(self._masks, self.entries.values()):
-                part = u & m
-                if part == 0 or part == u:
-                    stay += self.mu * r
-                else:
-                    part = part if part & low else u ^ part
-                    rates[part] = rates.get(part, 0.0) + self.mu * r
-            table = (stay, tuple((p, u ^ p, rate) for p, rate in rates.items()))
-            self._tables[u] = table
-        return table
+        low = u & -u
+        stay = self.mu * self.residual_probability
+        rates: dict[int, float] = {}
+        for m, r in zip(self._masks, self.entries.values()):
+            part = u & m
+            if part == 0 or part == u:
+                stay += self.mu * r
+            else:
+                part = part if part & low else u ^ part
+                rates[part] = rates.get(part, 0.0) + self.mu * r
+        return stay, tuple((p, u ^ p, rate) for p, rate in rates.items())
+
+    def _memoized(self) -> "_SplitMemo":
+        """A view of this model that memoizes its split tables; a builder
+        holds one for its run, so no table outlives the builder."""
+        view = object.__new__(_SplitMemo)
+        for name in RecombinationDistribution.__slots__:
+            setattr(view, name, getattr(self, name))
+        view._tables = {}
+        return view
 
     def children(self, state: tuple[int, ...]):
         """The refinement step: (child state, rate) per block split, blocks
@@ -382,3 +388,16 @@ class RecombinationDistribution:
             f"RecombinationDistribution(n={self.n_sites}, mu={self.mu:.6g}, "
             f"{len(self.entries)} entries)"
         )
+
+
+class _SplitMemo(RecombinationDistribution):
+    """A model whose ``split_table`` computes each subset's table once
+    (see ``RecombinationDistribution._memoized``)."""
+
+    __slots__ = ("_tables",)
+
+    def split_table(self, u: int) -> tuple[float, tuple[tuple[int, int, float], ...]]:
+        table = self._tables.get(u)
+        if table is None:
+            table = self._tables[u] = super().split_table(u)
+        return table

@@ -704,6 +704,45 @@ def test_info_logging_explains_the_exact_route_and_leaves_results_alone(
         assert (quiet / name).read_bytes() == (loud / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command, run, line", [
+    ("solve-ode", {"t_grid": [0.0, 0.5, 1.0], "dt": 0.1},
+     "integrate_grid on 3 sites: 8 of 18 types stepped, 10 steps, "
+     "40 right-hand-side evaluations"),
+    ("solve-discrete", {"t": 4},
+     "iterate_discrete on 3 sites: 8 of 18 types stepped, 4 steps, "
+     "4 right-hand-side evaluations"),
+], ids=["solve-ode", "solve-discrete"])
+def test_info_logging_gives_the_stepped_size_and_leaves_results_alone(
+    tmp_path, command, run, line
+):
+    # letters {0, 2} x {0, 1} x {0, 2} are present: 8 of the 18 types
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({
+        "recombination": {
+            "n": 3, "mu": 1.0, "style": "probability",
+            "entries": [{"partition": "1|2,3", "value": 0.3},
+                        {"partition": "1,2|3", "value": 0.5}],
+        },
+        "space": {"alphabet_sizes": [3, 2, 3]},
+        "initial": {"kind": "explicit", "entries": [
+            {"type": [0, 0, 2], "mass": 0.6}, {"type": [2, 1, 0], "mass": 0.4},
+        ]},
+        "run": run,
+    }))
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    plain = run_cli(command, "--config", str(cfg), "--out", str(quiet),
+                    env_extra={"RECOMB_LOG": "WARNING"})
+    logged = run_cli(command, "--config", str(cfg), "--out", str(loud),
+                     env_extra={"RECOMB_LOG": "info"})
+    assert plain.returncode == logged.returncode == 0, logged.stderr
+    assert "types stepped" not in plain.stderr
+    assert line in logged.stderr
+    names = sorted(os.listdir(quiet))
+    assert names and names == sorted(os.listdir(loud))
+    for name in names:
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes(), name
+
+
 def test_coefficients_past_the_lattice_cap_list_the_reachable_partitions(tmp_path):
     d = RecombinationDistribution.single_crossover([0.1 + 0.05 * k for k in range(11)])
     cfg = tmp_path / "crossover12.json"

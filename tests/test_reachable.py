@@ -22,6 +22,7 @@ from recomb import (
     PartitionIndex,
     RecombinationDistribution,
     SizeCapError,
+    build_discrete_matrix,
     build_generator,
     coefficients_semigroup,
     coefficients_single_crossover,
@@ -89,13 +90,28 @@ def general5_less_one():
     )
 
 
-def holds_no_walk(d):
-    """No slot of the model holds an index, and its memo holds split tables
-    (keyed by subset masks) only, no steps (keyed by mask states)."""
-    held = [getattr(d, name) for name in d.__slots__]
-    return not any(isinstance(v, PartitionIndex) for v in held) and all(
-        isinstance(u, int) for u in d._tables
-    )
+#: the model's slots: its rates, all set at construction
+MODEL_SLOTS = ("ground", "mu", "entries", "style", "_masks")
+
+
+def model_slots(d):
+    """Each slot of the model and a copy of its stored entries."""
+    return {name: getattr(d, name) for name in type(d).__slots__}, dict(d.entries)
+
+
+def holds_no_walk(d, before=None):
+    """The model holds its rates only: its slots are ``MODEL_SLOTS``, none
+    holds a memo or an index, and each holds what it held `before` (a
+    ``model_slots`` taken before a route or builder ran)."""
+    held, entries = model_slots(d)
+    if type(d) is not RecombinationDistribution or tuple(held) != MODEL_SLOTS:
+        return False
+    if any(isinstance(v, PartitionIndex) for v in held.values()):
+        return False
+    if before is None:
+        return True
+    slots, stored = before
+    return all(held[name] is slots[name] for name in MODEL_SLOTS) and entries == stored
 
 
 CLOSURE_CASES = (
@@ -132,12 +148,13 @@ def test_the_semigroup_route_steps_each_state_once_and_keeps_no_steps(monkeypatc
 
     monkeypatch.setattr(RecombinationDistribution, "children", counted)
     d = sparse_model()
+    before = model_slots(d)
     got = build_generator(d)
     assert sorted(calls) == sorted(index.states) and set(calls.values()) == {1}
     assert got.index.states == index.states
     for name in ("rows", "cols", "data"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert holds_no_walk(d)
+    assert holds_no_walk(d, before)
 
     calls.clear()
     exact_coefficients(sparse_model(), TIMES, "semigroup")
@@ -157,8 +174,39 @@ def test_the_walked_generator_is_bitwise_the_lattice_generator(n):
 @pytest.mark.parametrize("make", [sparse_model, lambda: general_model(5, 2)])
 def test_the_semigroup_route_leaves_no_index_on_the_model(make):
     d = make()
+    before = model_slots(d)
     exact_coefficients(d, TIMES, "semigroup")
-    assert d._tables and holds_no_walk(d)
+    assert holds_no_walk(d, before)
+
+
+def _discrete_model():
+    d = general_model(4, 9)
+    return RecombinationDistribution.from_probabilities(d.ground, 1.0, {
+        a: 0.9 * r for a, r in d.entries.items()
+    })
+
+
+LEFT_ALONE = {
+    "semigroup": (lambda: general_model(5, 2), lambda d: exact_coefficients(d, TIMES, "semigroup")),
+    "recursion": (lambda: general_model(5, 2), lambda d: exact_coefficients(d, TIMES, "recursion")),
+    "closed-form": (lambda: crossover_model(8, 3),
+                    lambda d: exact_coefficients(d, TIMES, "single_crossover")),
+    "lattice-generator": (lambda: general_model(5, 2),
+                          lambda d: build_generator(d, PartitionIndex(d.ground))),
+    "discrete-matrix": (_discrete_model,
+                        lambda d: build_discrete_matrix(d, PartitionIndex(d.ground))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_ALONE))
+def test_no_route_or_builder_leaves_a_memo_on_the_model(name):
+    # each builder memoizes split tables for its own run only, so a model
+    # that callers keep holds no more after a route than before it
+    make, run = LEFT_ALONE[name]
+    d = make()
+    before = model_slots(d)
+    run(d)
+    assert holds_no_walk(d, before)
 
 
 def test_a_model_reaching_every_partition_gets_the_lattice_order():
