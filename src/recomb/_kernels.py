@@ -3,11 +3,11 @@
 Stream contract: the Monte Carlo kernels draw from a splitmix64 counter
 generator in ``np.uint64`` arithmetic; replicate ``r`` starts from the
 seed's own generator output at step ``r + 1`` (see ``_stream_state``), so
-its output is a pure function of (seed, r) and can be reproduced alone,
-in any chunk of a batch, under any worker count.  Waiting times use
-``math.log`` (not numpy's vectorized log, which differs in the last bit),
-so on a given platform every kernel output is bitwise pinned; the test
-suite checks fixed batches against stored digests.
+its output is a pure function of (seed, r) and can be reproduced alone
+or in any chunk of a batch.  Waiting times use ``math.log`` (not numpy's
+vectorized log, which differs in the last bit), so on a given platform
+every kernel output is bitwise pinned; the test suite checks fixed
+batches against stored digests.
 
 The kernels walk their replicates in one of three ways:
 
@@ -375,15 +375,9 @@ def partition_history(ent_mask1, ent_rate, n_sites, start_blocks, t_end, seed, r
 # forward Moran model: one replicate at a time on a bulk-drawn stream
 # --------------------------------------------------------------------------
 
-# Uniforms per refill of a `_Stream`.
+# Most uniforms per read of a forward Moran stream: a read covers about
+# a thousand events.
 _BLOCK = 4096
-
-# Most uniforms per read of the forward walk (`_moran_walk`): a read
-# covers a window of a few thousand events.  Numpy releases the GIL in
-# each call on a read, and every release hands the GIL to a waiting
-# thread, so under ``--jobs`` fewer, longer reads keep the threads from
-# trading it hundreds of times per replicate.
-_READ = 4 * _BLOCK
 
 # Most uniforms one event reads: its waiting time, one individual (the
 # dying one, or the ancestor that moves back), the recombination event,
@@ -393,29 +387,6 @@ _EVENT_DRAWS = 5
 # Largest (events x types) digit table stored as lists; past it each
 # digit sum is computed when it is looked up.
 _TABLE_CAP = 1 << 18
-
-
-class _Stream:
-    """One stream read in order from a Python list filled a numpy block at
-    a time: ``buf[pos:]`` are drawn uniforms not read yet, `k` counts the
-    uniforms drawn, so the next block starts at uniform k + 1, and `block`
-    is the size of a refill (`_BLOCK` by default)."""
-
-    __slots__ = ("s0", "k", "buf", "pos", "block")
-
-    def __init__(self, s0, k=0, buf=None, block=None):
-        self.s0, self.k, self.pos = s0, k, 0
-        self.buf = [] if buf is None else buf
-        self.block = _BLOCK if block is None else block
-
-    def refill(self):
-        """Append a block to the unread tail; returns the new buffer, whose
-        first entry is the next uniform."""
-        fresh = _block_uniforms(self.s0, self.k, self.block).tolist()
-        self.buf = self.buf[self.pos :] + fresh
-        self.k += self.block
-        self.pos = 0
-        return self.buf
 
 
 class _DigitSum:
@@ -455,45 +426,21 @@ def _event_tables(places, sizes, ent_mask1, ent_prob, n_types):
     return cum_prob, tables
 
 
-def _moran_event(buf, i, cum, N, cum_prob, tables):
-    """One replacement event read from ``buf[i:]``.
-
-    In order: the dying individual, the recombination event (none past
-    the last running probability), then one parent, or two for a
-    recombination.  Individuals are drawn with replacement from the
-    pre-event counts, whose running totals are `cum` (so the dying one
-    can be a parent): individual ``min(int(u * N), N - 1)`` has the type
-    of the first running total above it.  Returns (dying type, offspring
-    type, index of the next unread uniform).
-    """
-    r = int(buf[i] * N)
-    y = bisect_right(cum, r if r < N else N - 1)
-    e = bisect_right(cum_prob, buf[i + 1])
-    r = int(buf[i + 2] * N)
-    pa = bisect_right(cum, r if r < N else N - 1)
-    if e == len(cum_prob):
-        return y, pa, i + 3
-    r = int(buf[i + 3] * N)
-    pb = bisect_right(cum, r if r < N else N - 1)
-    first, second = tables[e]
-    return y, first[pa] + second[pb], i + 4
-
-
-def _event_starts(ev, n_ev, m):
+def _event_starts(ev, n_ev, m, lead):
     """Start of every event, from a read's first one on, that begins at
     one of its first m positions, and the start after the last.
 
-    An event reads its waiting time, an individual, its event draw (ev at
-    start + 2) and one parent, and a second parent if the draw falls on a
-    recombination (ev < n_ev): the next start is start + 4 or start + 5,
-    set by the stream alone.  `ev` is a list; the chain is a Python loop,
-    so it holds the GIL (see `_READ`).
+    An event reads `lead` uniforms (its waiting time, if it has one, and
+    an individual), its event draw (ev at start + lead) and one parent,
+    and a second parent if the draw falls on a recombination (ev < n_ev):
+    the next start is start + lead + 2 or start + lead + 3, set by the
+    stream alone.  `ev` is a list.
     """
     starts = []
     s = 0
     while s < m:
         starts.append(s)
-        s += 5 if ev[s + 2] < n_ev else 4
+        s += lead + 3 if ev[s + lead] < n_ev else lead + 2
     return np.array(starts, np.intp), s
 
 
@@ -524,10 +471,10 @@ def _moran_walk(counts, mu, duration, s0, k, cum_prob, tables):
         # more than 3 standard deviations above that
         left = rate * (duration - t)
         want = _EVENT_DRAWS * (left + 3.0 * math.sqrt(left) + 3.0)
-        n = int(want) if want < _READ else _READ
+        n = int(want) if want < _BLOCK else _BLOCK
         u = _block_uniforms(s0, k, n)
         ev = np.searchsorted(cp, u, side="right")
-        starts, after = _event_starts(ev.tolist(), n_ev, n - _EVENT_DRAWS + 1)
+        starts, after = _event_starts(ev.tolist(), n_ev, n - _EVENT_DRAWS + 1, lead=2)
         # math.log, not np.log, which differs in the last bit on some inputs
         logs = np.fromiter(map(math.log, (1.0 - u[starts]).tolist()), np.float64, starts.size)
         clock = -logs / rate
@@ -564,10 +511,13 @@ def _moran_walk(counts, mu, duration, s0, k, cum_prob, tables):
 def multinomial_start(w, N: int, seed, replicate: int = 0) -> np.ndarray:
     """Counts of N iid types from the probability vector w, drawn from the
     first N uniforms of replicate `replicate`'s stream: type j for the
-    first running weight above the uniform, the last type past all."""
-    w_cum = np.cumsum(_f64(w))
+    first running weight above the uniform, the last type of positive
+    weight past all (a mass a rounding short of 1 leaves such a tail)."""
+    w = _f64(w)
+    w_cum = np.cumsum(w)
+    last = w.size - 1 - int(np.argmax(w[::-1] > 0.0))
     u = _block_uniforms(_stream_state(_seed_u64(seed), int(replicate)), 0, int(N))
-    return np.bincount(np.searchsorted(w_cum[:-1], u, side="right"), minlength=w_cum.size)
+    return np.bincount(np.searchsorted(w_cum[:last], u, side="right"), minlength=w.size)
 
 
 @_entry
@@ -635,20 +585,37 @@ def moran_event_pairs(counts0, places, sizes, ent_mask1, ent_prob, seed, n_event
     """Frequency table of (dying type, offspring type) single events.
 
     The population is reset to counts0 before every event, so the table
-    estimates the per-event transition law out of that fixed state.
+    estimates the per-event transition law out of that fixed state.  The
+    stream is the seed's own generator output (no replicate), decoded a
+    read at a time as in `_moran_walk`; an event reads no waiting time,
+    so its event draw sits at start + 1.
     """
     cum = list(itertools.accumulate(_i64(counts0).tolist()))
-    n_types = len(cum)
+    n_types, N = len(cum), cum[-1]
     cum_prob, tables = _event_tables(places, sizes, ent_mask1, ent_prob, n_types)
-    src = _Stream(_seed_u64(seed))
+    cp, n_ev = np.array(cum_prob), len(cum_prob)
+    draws = _EVENT_DRAWS - 1
+    s0, k, left = _seed_u64(seed), 0, int(n_events)
     pairs = [0] * (n_types * n_types)
-    buf, i = src.buf, 0
-    for _ in range(int(n_events)):
-        if i > len(buf) - _EVENT_DRAWS:
-            src.pos = i
-            buf, i = src.refill(), 0
-        y, x, i = _moran_event(buf, i, cum, cum[-1], cum_prob, tables)
-        pairs[y * n_types + x] += 1
+    while left:
+        # the left-th event from here starts by draws * (left - 1)
+        n = draws * left if draws * left < _BLOCK else _BLOCK
+        u = _block_uniforms(s0, k, n)
+        ev = np.searchsorted(cp, u, side="right")
+        starts, after = _event_starts(ev.tolist(), n_ev, n - draws + 1, lead=1)
+        at = starts[:left]
+        ind = np.minimum((u * float(N)).astype(np.int64), N - 1)
+        for ry, e, ra, rb in zip(
+            ind[at].tolist(), ev[at + 1].tolist(), ind[at + 2].tolist(),
+            ind[at + 3].tolist(),
+        ):
+            x = bisect_right(cum, ra)
+            if e < n_ev:
+                first, second = tables[e]
+                x = first[x] + second[bisect_right(cum, rb)]
+            pairs[bisect_right(cum, ry) * n_types + x] += 1
+        left -= at.size
+        k += after
     return np.array(pairs, np.int64).reshape(n_types, n_types)
 
 
@@ -662,6 +629,27 @@ def moran_event_pairs(counts0, places, sizes, ent_mask1, ent_prob, seed, n_event
 # that reads past them refills `_ARG_BLOCK` at a time.
 _ARG_CHUNK = 256
 _ARG_BLOCK = 128
+
+
+class _Stream:
+    """One stream read in order from a Python list filled a numpy block at
+    a time: ``buf[pos:]`` are drawn uniforms not read yet, `k` counts the
+    uniforms drawn, so the next block starts at uniform k + 1, and `block`
+    is the size of a refill."""
+
+    __slots__ = ("s0", "k", "buf", "pos", "block")
+
+    def __init__(self, s0, k, buf, block):
+        self.s0, self.k, self.buf, self.pos, self.block = s0, k, buf, 0, block
+
+    def refill(self):
+        """Append a block to the unread tail; returns the new buffer, whose
+        first entry is the next uniform."""
+        fresh = _block_uniforms(self.s0, self.k, self.block).tolist()
+        self.buf = self.buf[self.pos :] + fresh
+        self.k += self.block
+        self.pos = 0
+        return self.buf
 
 
 def _arg_streams(seed, rep_lo, n_reps):

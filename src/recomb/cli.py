@@ -24,7 +24,6 @@ import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -162,27 +161,13 @@ def _chunks(total: int, jobs: int):
         lo += count
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_chunked(fn, total: int, jobs: int):
-    """Split a replicate batch into chunks and run them on a thread pool.
+    """Split a replicate batch into chunks and run them in order.
 
     Replicate r always draws from the same stream keyed by (seed, r), so
-    the split is invisible in the output.  At most one thread per CPU
-    this process may run on runs the chunks, whatever `jobs` asks for.
+    the split is invisible in the output.
     """
-    pieces = list(_chunks(total, jobs))
-    if len(pieces) == 1:
-        return [fn(0, total)]
-    with ThreadPoolExecutor(max_workers=min(len(pieces), _cpu_count())) as pool:
-        futures = [pool.submit(fn, lo, count) for lo, count in pieces]
-        return [f.result() for f in futures]
+    return [fn(lo, count) for lo, count in _chunks(total, jobs)]
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -387,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=int, default=1,
-        help="chunks per replicate batch, run on at most one thread per CPU (default 1)",
+        help="chunks per replicate batch, run in order; output is byte-identical "
+        "for any value (default 1)",
     )
     common.add_argument(
         "--tolerance", type=float, default=None,

@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
 
 import pytest
 
@@ -398,15 +398,19 @@ def test_format_resolution_order(configs, tmp_path):
 
 
 def test_moran_csv_and_parallel_determinism(configs, tmp_path):
-    one, many = tmp_path / "j1", tmp_path / "j3"
+    one = tmp_path / "j1"
     res1 = run_cli("simulate-moran", "--config", configs["moran"], "--out", str(one))
-    res3 = run_cli(
-        "simulate-moran", "--config", configs["moran"], "--out", str(many),
-        "--jobs", "3",
-    )
-    assert res1.returncode == 0 and res3.returncode == 0, res1.stderr + res3.stderr
+    assert res1.returncode == 0, res1.stderr
     text1 = (one / "moran.csv").read_bytes()
-    assert text1 == (many / "moran.csv").read_bytes()
+    # 5000 asks for more chunks than the 3 replicates: one each
+    for jobs in ("3", "5000"):
+        many = tmp_path / f"j{jobs}"
+        res = run_cli(
+            "simulate-moran", "--config", configs["moran"], "--out", str(many),
+            "--jobs", jobs,
+        )
+        assert res.returncode == 0, res.stderr
+        assert text1 == (many / "moran.csv").read_bytes(), jobs
     header, rows = read_csv(one / "moran.csv")
     assert header == ["replicate", "t", "type", "count"]
     totals = {}
@@ -450,18 +454,23 @@ def test_main_builds_its_parser_once_and_writes_what_single_calls_write(
 
 
 def test_arg_json_and_parallel_determinism(configs, tmp_path):
-    one, two = tmp_path / "j1", tmp_path / "j2"
-    res1 = run_cli(
-        "simulate-arg", "--config", configs["arg"], "--out", str(one),
-        "--format", "json",
-    )
-    res2 = run_cli(
-        "simulate-arg", "--config", configs["arg"], "--out", str(two),
-        "--format", "json", "--jobs", "2",
-    )
-    assert res1.returncode == 0 and res2.returncode == 0, res1.stderr + res2.stderr
-    assert (one / "arg.json").read_bytes() == (two / "arg.json").read_bytes()
-    payload = json.loads((one / "arg.json").read_text())
+    for fmt in ("json", "csv"):
+        one, two = tmp_path / f"{fmt}-j1", tmp_path / f"{fmt}-j2"
+        res1 = run_cli(
+            "simulate-arg", "--config", configs["arg"], "--out", str(one),
+            "--format", fmt,
+        )
+        res2 = run_cli(
+            "simulate-arg", "--config", configs["arg"], "--out", str(two),
+            "--format", fmt, "--jobs", "2",
+        )
+        assert res1.returncode == 0 and res2.returncode == 0, res1.stderr + res2.stderr
+        name = f"arg.{fmt}"
+        assert (one / name).read_bytes() == (two / name).read_bytes(), fmt
+    header, rows = read_csv(tmp_path / "csv-j1" / "arg.csv")
+    assert header == ["replicate", "partition", "ancestors"]
+    payload = json.loads((tmp_path / "json-j1" / "arg.json").read_text())
+    assert rows == [[str(e["replicate"]), e["partition"], str(e["ancestors"])] for e in payload]
     assert [e["replicate"] for e in payload] == [0, 1, 2, 3]
     for entry in payload:
         p = Partition.from_text(entry["partition"])
@@ -607,52 +616,17 @@ def test_a_site_count_that_is_not_a_positive_int_exits_2(tmp_path, n):
     assert "config.recombination.n" in res.stderr
 
 
-@pytest.mark.parametrize("jobs, cpus, workers", [(5000, 2, 2), (2, 2, 2), (3, 1, 1), (3, None, 1)])
-def test_jobs_split_the_batch_but_threads_stop_at_the_cpu_count(monkeypatch, jobs, cpus, workers):
-    opened = []
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5000])
+def test_jobs_split_the_batch_into_chunks_run_in_order_on_the_calling_thread(jobs):
+    ran = []
 
-    class Inline:
-        """Records its worker count and runs each chunk at once, on no thread."""
+    def run(lo, count):
+        ran.append((threading.get_ident(), lo))
+        return lo, count
 
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Inline)
-    # a platform without an affinity call: the host's count decides
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._cpu_count() == (cpus or 1)
-    pieces = cli._run_chunked(lambda lo, count: (lo, count), 5000, jobs)
-    assert opened == [workers]
+    pieces = cli._run_chunked(run, 5000, jobs)
     assert pieces == list(cli._chunks(5000, jobs)) and len(pieces) == jobs
-
-
-def test_jobs_threads_stop_at_the_cpus_this_process_may_run_on(monkeypatch):
-    opened = []
-
-    class Counting(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Counting)
-    # an affinity mask of one CPU on an eight-CPU host
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    pieces = cli._run_chunked(lambda lo, count: (lo, count), 10, 4)
-    assert opened == [1]
-    assert pieces == list(cli._chunks(10, 4))
+    assert ran == [(threading.get_ident(), lo) for lo, _ in pieces]
 
 
 def test_usage_errors():

@@ -502,17 +502,15 @@ MORAN_MODELS = {
 }
 
 
-@pytest.mark.parametrize("block, read", [(K._BLOCK, K._READ), (7, 7)],
-                         ids=["block", "short-blocks"])
+@pytest.mark.parametrize("block", [K._BLOCK, 7], ids=["block", "short-blocks"])
 @pytest.mark.parametrize("stored_tables", [True, False], ids=["tables", "digit-sums"])
 @pytest.mark.parametrize("name", sorted(MORAN_MODELS))
-def test_moran_kernels_match_scalar_walk(name, stored_tables, block, read, monkeypatch):
+def test_moran_kernels_match_scalar_walk(name, stored_tables, block, monkeypatch):
     if not stored_tables:  # offspring digit sums computed per lookup
         monkeypatch.setattr(K, "_TABLE_CAP", 0)
-    # short blocks make every walk carry unread uniforms into the next block
-    # (the event-pair stream's refills and the forward walk's reads)
+    # short reads make every walk carry unread uniforms into the next read
+    # (the event-pair stream's and the forward walk's)
     monkeypatch.setattr(K, "_BLOCK", block)
-    monkeypatch.setattr(K, "_READ", read)
     d, alleles = MORAN_MODELS[name][0](), MORAN_MODELS[name][1]
     space = TypeSpace(alleles)
     n_types = space.cardinality

@@ -157,6 +157,19 @@ def test_multinomial_start_is_the_moran_batch_start(model3, space3):
         assert z.counts[k % len(types)] == 0
 
 
+def test_multinomial_start_never_draws_a_last_type_of_zero_weight():
+    # a mass short of 1 leaves uniforms past every running weight; they go
+    # to the last type of positive weight, as if the zero tail were absent
+    counts = _kernels.multinomial_start([0.5, 0.4, 0.0], 10_000, seed=1)
+    assert counts.tolist() == [5073, 4927, 0]
+    two = _kernels.multinomial_start([0.5, 0.4], 10_000, seed=1)
+    assert counts[:2].tolist() == two.tolist()
+    # a last type of positive weight keeps the draws it had
+    assert _kernels.multinomial_start([0.5, 0.0, 0.4], 10_000, seed=1).tolist() == [
+        5073, 0, 4927
+    ]
+
+
 # ---------------------------------------------------------------------------
 # forward process
 # ---------------------------------------------------------------------------
