@@ -629,6 +629,22 @@ def test_jobs_split_the_batch_into_chunks_run_in_order_on_the_calling_thread(job
     assert ran == [(threading.get_ident(), lo) for lo, _ in pieces]
 
 
+@pytest.mark.parametrize("jobs, cpus, workers", [(3, 1, 1), (3, None, 1)])
+def test_jobs_split_the_batch_but_threads_stop_at_the_cpu_count(monkeypatch, jobs, cpus, workers):
+    # a one-CPU host, and one that cannot tell its count: more chunks than
+    # CPUs still run on no thread but the caller's
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    threads = set()
+
+    def run(lo, count):
+        threads.add(threading.get_ident())
+        return lo, count
+
+    pieces = cli._run_chunked(run, 5000, jobs)
+    assert len(threads) == workers and threads == {threading.get_ident()}
+    assert pieces == list(cli._chunks(5000, jobs)) and len(pieces) == jobs
+
+
 def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("warp-drive", "--config", "x").returncode == 2
