@@ -42,7 +42,6 @@ from .errors import (
     NonGenericRatesError,
     RecombError,
 )
-from .measure import TypeSpace
 from .moran import PopulationState, arg_replicates, lln_report, simulate_moran_grid
 from .partitions import count_label_rows
 
@@ -95,8 +94,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _type_label(space: TypeSpace, flat: int) -> str:
-    return "-".join(str(d) for d in space.decode(flat))
+def _type_label(ty: tuple[int, ...]) -> str:
+    return "-".join(map(str, ty))
 
 
 def _emit(out_dir: str, name: str, text: str) -> str:
@@ -114,7 +113,7 @@ def _write_trajectory(out_dir: str, fmt: str, traj: Trajectory) -> None:
                 f"{space.cardinality} type columns exceed the CSV cap "
                 f"({_CSV_COLUMN_CAP}); use --format json"
             )
-        header = ["t"] + [_type_label(space, k) for k in range(space.cardinality)]
+        header = ["t"] + [_type_label(ty) for ty in space.types()]
         rows = [
             [_fmt(t)] + [_fmt(v) for v in w.to_array()]
             for t, w in zip(traj.times, traj.states)
@@ -123,10 +122,7 @@ def _write_trajectory(out_dir: str, fmt: str, traj: Trajectory) -> None:
     else:
         payload = {
             "times": list(traj.times),
-            "states": [
-                {_type_label(space, space.encode(ty)): v for ty, v in w.items()}
-                for w in traj.states
-            ],
+            "states": [{_type_label(ty): v for ty, v in w.items()} for w in traj.states],
         }
         _emit(out_dir, "trajectory.json", _json_text(payload))
 
@@ -227,7 +223,7 @@ def _cmd_simulate_moran(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
             for ti, t in enumerate(times):
                 vec = counts[r, ti]
                 for k in np.flatnonzero(vec):
-                    rows.append([r, _fmt(t), _type_label(space, int(k)), int(vec[k])])
+                    rows.append([r, _fmt(t), _type_label(space.decode(int(k))), int(vec[k])])
         _emit(out_dir, "moran.csv", _csv_text(["replicate", "t", "type", "count"], rows))
     else:
         payload = [
@@ -235,7 +231,7 @@ def _cmd_simulate_moran(cfg: ModelConfig, args, out_dir: str, fmt: str) -> None:
                 "replicate": r,
                 "t": times[ti],
                 "counts": {
-                    _type_label(space, int(k)): int(counts[r, ti, k])
+                    _type_label(space.decode(int(k))): int(counts[r, ti, k])
                     for k in np.flatnonzero(counts[r, ti])
                 },
             }

@@ -1,6 +1,7 @@
 """Forward-in-time solution of the recombination dynamics.
 
-Three routes to the same flow on probability distributions:
+Three routes to the same flow on probability distributions, each run on
+the start's :class:`~.measure.Reduction` to the letters present:
 
 * ``integrate`` - fixed-step 4th-order integration of the nonlinear
   vector field sum_A rho(A) (recombine_A(w) - w);
@@ -18,6 +19,7 @@ partition equals restarting the coefficient process from that partition.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +37,7 @@ from .ancestral import (  # EXACT_METHODS, compute_psi_theta: re-exported
 from .errors import (
     DomainError, MassDriftError, SizeCapError, check_count, check_grid, check_time,
 )
-from .measure import TypeDistribution, TypeSpace
+from .measure import DENSE_CAP, Reduction, TypeDistribution, TypeSpace
 from .partitions import Partition, shared_index
 from .rates import RecombinationDistribution
 
@@ -92,11 +94,6 @@ class SignedIncrement:
         return self.values.copy()
 
 
-def _require_dense(w: TypeDistribution, what: str) -> None:
-    if not w.is_dense:
-        raise SizeCapError(f"{what} needs a dense type space (within the storage cap)")
-
-
 def _check_model_space(d: RecombinationDistribution, w: TypeDistribution) -> None:
     if d.ground != w.space.sites:
         raise DomainError(
@@ -105,79 +102,34 @@ def _check_model_space(d: RecombinationDistribution, w: TypeDistribution) -> Non
 
 
 class _VectorField:
-    """Precomputed flat-index maps for the dense right-hand side.
+    """Precomputed flat-index maps for the dense right-hand side on `space`.
 
-    The field steps the product of ``letters`` (per site, the letters kept;
-    all of them by default): recombination keeps every one-site marginal,
-    so a letter absent at t = 0 stays absent and its types stay at zero.
-    ``where`` is the increasing map from the stepped types to their
-    full-space indices.  Row e of idx1/idx2 sends a stepped type to its
-    marginal bin on block 1/block 2 of event e; each event's bins follow
-    the previous event's, so all block marginals of a side are one
-    bincount pass.  ``probs`` holds r(A) and ``rates`` mu * r(A) per
-    event, in ``event_arrays`` order; callers check the model's sites
-    against the space first.
+    Row e of idx1/idx2 sends a type to its marginal bin on block 1/block 2
+    of event e; each event's bins follow the previous event's, so all
+    block marginals of a side are one bincount pass.  ``probs`` holds r(A)
+    and ``rates`` mu * r(A) per event, in ``event_arrays`` order; ``mass``
+    sums a state (``Reduction.mass`` on a reduced space).  Callers check
+    the model's sites against the space first.
     """
 
-    __slots__ = ("space", "probs", "rates", "idx1", "idx2", "where", "_full")
+    __slots__ = ("probs", "rates", "idx1", "idx2", "mass")
 
-    def __init__(
-        self,
-        d: RecombinationDistribution,
-        space: TypeSpace,
-        letters: Sequence[np.ndarray] | None = None,
-    ):
+    def __init__(self, d: RecombinationDistribution, space: TypeSpace, mass=np.sum):
         masks, self.probs = d.event_arrays()
-        if letters is None:
-            letters = [np.arange(s, dtype=np.int64) for s in space.alphabet_sizes]
-        n = space.n_sites
-        sizes = [len(x) for x in letters]
-        # per site, each stepped type's rank among the letters kept
+        n, sizes = space.n_sites, space.alphabet_sizes
         digits = np.indices(sizes, dtype=np.int64).reshape(n, -1)
-        K = digits.shape[1]
-        where = np.zeros(K, dtype=np.int64)
-        for i in range(n):
-            where += letters[i][digits[i]] * space.places[i]
-        idx1 = np.zeros((len(masks), K), dtype=np.int64)
-        idx2 = np.zeros((len(masks), K), dtype=np.int64)
+        self.idx1 = np.zeros((len(masks), digits.shape[1]), dtype=np.int64)
+        self.idx2 = np.zeros_like(self.idx1)
         # block 1 is the mask's sites, block 2 the complement's
-        for flip, idx in ((0, idx1), ((1 << n) - 1, idx2)):
+        for flip, idx in ((0, self.idx1), ((1 << n) - 1, self.idx2)):
             offset = 0
             for e, mask in enumerate(masks.tolist()):
-                bins = 1
-                idx[e] = offset
-                for i in reversed(range(n)):
-                    if (mask ^ flip) >> i & 1:
-                        idx[e] += digits[i] * bins
-                        bins *= sizes[i]
-                offset += bins
-        self.space = space
+                side = [i for i in range(n) if (mask ^ flip) >> i & 1]
+                dims = [sizes[i] for i in side]
+                idx[e] = offset + np.ravel_multi_index(digits[side], dims)
+                offset += math.prod(dims)
         self.rates = self.probs * d.mu
-        self.idx1 = idx1
-        self.idx2 = idx2
-        self.where = where
-        self._full = np.zeros(space.cardinality)
-
-    @classmethod
-    def reaching(cls, d: RecombinationDistribution, w0: TypeDistribution) -> "_VectorField":
-        """The field on the letters present in w0 (those of positive
-        one-site marginal): the types its flow reaches."""
-        space = w0.space
-        held = np.flatnonzero(w0._dense > 0.0)
-        return cls(d, space, [np.unique(held // place % size)
-                              for place, size in zip(space.places, space.alphabet_sizes)])
-
-    def mass(self, w: np.ndarray) -> float:
-        """The sum of w laid out on the full space: numpy sums pairwise, so
-        the zeros of the absent types decide how the sum rounds."""
-        self._full[self.where] = w
-        return self._full.sum()
-
-    def full(self, w: np.ndarray) -> np.ndarray:
-        """w as a new full-space array, zero on the types not stepped."""
-        out = np.zeros(self.space.cardinality)
-        out[self.where] = w
-        return out
+        self.mass = mass
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         return _kernels.rhs_dense(w, self.idx1, self.idx2, self.rates, self.mass(w))
@@ -190,9 +142,9 @@ def rhs(d: RecombinationDistribution, w: TypeDistribution) -> SignedIncrement:
     or destroys it.
     """
     _check_model_space(d, w)
-    _require_dense(w, "the differential right-hand side")
-    field = _VectorField(d, w.space)
-    return SignedIncrement(w.space, field(w.to_array()))
+    if not w.is_dense:
+        raise SizeCapError("the differential right-hand side needs a dense type space")
+    return SignedIncrement(w.space, _VectorField(d, w.space)(w.to_array()))
 
 
 def _rk4_span(
@@ -237,12 +189,6 @@ def integrate(
     return integrate_grid(d, w0, grid, dt)
 
 
-def _log_stepped(what: str, space: TypeSpace, stepped: int, steps: int, evals: int) -> None:
-    log.info("%s on %d sites: %d of %d types stepped, %d steps, "
-             "%d right-hand-side evaluations", what, space.n_sites, stepped,
-             space.cardinality, steps, evals)
-
-
 def integrate_grid(
     d: RecombinationDistribution,
     w0: TypeDistribution,
@@ -253,26 +199,31 @@ def integrate_grid(
 
     The grid must start at 0 and increase, and is checked before any
     step; integration still proceeds in steps of dt within each span (with
-    a shorter final step per span).  Only the types over the letters
-    present in w0 are stepped; every recorded state is bitwise the one
-    stepped on the whole space.  The stepped size is logged at INFO.
+    a shorter final step per span).  The start's reduction to the letters
+    present is stepped and must fit under ``DENSE_CAP``; each state is
+    bitwise the one stepped on the whole space where that fits.  The
+    stepped size is logged at INFO.
     """
     _check_model_space(d, w0)
-    _require_dense(w0, "numerical integration")
+    red = Reduction(w0)
+    if not red.space.dense:
+        raise SizeCapError(f"integration needs at most {DENSE_CAP} types of the letters present")
     if not 0 < dt < np.inf:
         raise DomainError(f"dt must be positive and finite, got {dt}")
     times = check_grid(t_grid, from_zero=True)
-    if not abs(w0._dense.sum() - 1.0) <= MASS_TOL:
+    if not abs(w0.mass - 1.0) <= MASS_TOL:
         raise MassDriftError("initial state is not a probability distribution")
-    field = _VectorField.reaching(d, w0)
-    w = w0._dense[field.where]
+    field = _VectorField(d, red.space, red.mass)
+    w = red.values
     states = [w0]
     steps = 0
     for earlier, later in zip(times, times[1:]):
         w, taken = _rk4_span(field, w, later - earlier, dt)
         steps += taken
-        states.append(TypeDistribution._from_dense(w0.space, field.full(w)))
-    _log_stepped("integrate_grid", w0.space, len(field.where), steps, 4 * steps)
+        states.append(red.expand(w))
+    log.info("integrate_grid on %d sites: %d of %d types stepped, %d steps, "
+             "%d right-hand-side evaluations", d.n_sites, red.space.cardinality,
+             w0.space.cardinality, steps, 4 * steps)
     return Trajectory(times, states)
 
 
@@ -298,34 +249,13 @@ def exact_coefficients(
 def mixture_from_coefficients(
     coefficients: CoefficientVector, w0: TypeDistribution
 ) -> TypeDistribution:
-    """sum_A a(A) * recombine_A(w0), skipping zero-weight partitions.
-
-    On a dense space each block's marginal is computed once per call and
-    shared by every partition that has the block.
-    """
+    """sum_A a(A) * recombine_A(w0), skipping zero-weight partitions, by
+    :meth:`TypeDistribution.recombined`."""
     if coefficients.index.ground != w0.space.sites:
         raise DomainError("coefficient index and distribution sites differ")
-    if w0.is_dense:
-        acc = np.zeros(w0.space.cardinality)
-        total = w0.mass
-        margs: dict = {}
-        partitions = coefficients.index.partitions
-        weights = coefficients.values
-        for i in np.flatnonzero(weights).tolist():
-            a = partitions[i]
-            if a.n_blocks == 1 or total == 0.0:
-                term = w0._dense
-            else:
-                term = w0._block_product(a, total, margs)
-            acc += float(weights[i]) * term
-        return TypeDistribution._from_dense(w0.space, acc)
-    acc_d: dict[tuple[int, ...], float] = {}
-    for a, weight in coefficients.items():
-        if weight == 0.0:
-            continue
-        for t, v in w0.product_over_blocks(a).items():
-            acc_d[t] = acc_d.get(t, 0.0) + weight * v
-    return TypeDistribution._from_sparse(w0.space, acc_d)
+    partitions, weights = coefficients.index.partitions, coefficients.values
+    nonzero = np.flatnonzero(weights).tolist()
+    return w0.recombined((partitions[i], float(weights[i])) for i in nonzero)
 
 
 def solve_exact(
@@ -347,12 +277,12 @@ def iterate_discrete(
 
     Needs a probability-style model. F_r is the vector field of
     :func:`rhs` with the probabilities r(A) in place of the rates, so a
-    generation is sum_A r(A) recombine_A(w) + (1 - sum r) w. On a dense
-    space it is one ``rhs_dense`` pass of the ODE kernel over the letters
-    present in w0, bitwise the pass over the whole space; its increment
-    sums to zero, so mass is kept by construction. A sparse space steps
-    entry by entry with the residual clamped at 0, over the types it
-    holds. The stepped size is logged at INFO.
+    generation is sum_A r(A) recombine_A(w) + (1 - sum r) w: one
+    ``rhs_dense`` pass over the start's reduction to the letters present,
+    bitwise the pass over the whole space where that fits, whose increment
+    sums to zero, so mass is kept by construction. A reduction past
+    ``DENSE_CAP`` steps entry by entry with the residual clamped at 0. The
+    stepped size and the branch are logged at INFO.
     """
     _check_model_space(d, w0)
     if d.style != "probability":
@@ -362,26 +292,22 @@ def iterate_discrete(
     t = check_count(t, "generation count", minimum=0)
     times = [float(s) for s in range(t + 1)]
     states = [w0]
-    if w0.is_dense:
-        field = _VectorField.reaching(d, w0)
-        w = w0._dense[field.where]
+    red = Reduction(w0)
+    if red.space.dense:
+        field = _VectorField(d, red.space, red.mass)
+        w = red.values
         for _ in range(t):
             w = w + _kernels.rhs_dense(w, field.idx1, field.idx2, field.probs, field.mass(w))
-            states.append(TypeDistribution._from_dense(w0.space, field.full(w)))
-        _log_stepped("iterate_discrete", w0.space, len(field.where), t, t)
+            states.append(red.expand(w))
+        log.info("iterate_discrete on %d sites: %d of %d types stepped, %d steps, "
+                 "%d right-hand-side evaluations", d.n_sites, red.space.cardinality,
+                 w0.space.cardinality, t, t)
         return Trajectory(times, states)
-    residual = d.residual_probability
-    w = w0
-    stepped = len(w0._sparse)
-    for _ in range(t):
-        acc = {ty: residual * v for ty, v in w.items()}
-        for a, r in d.entries.items():
-            for ty, v in w.product_over_blocks(a).items():
-                acc[ty] = acc.get(ty, 0.0) + r * v
-        w = TypeDistribution._from_sparse(w.space, acc)
-        states.append(w)
-        stepped = max(stepped, len(acc))
-    _log_stepped("iterate_discrete", w0.space, stepped, t, 0)
+    pairs = [(Partition.one_block(d.ground), d.residual_probability), *d.entries.items()]
+    for _ in range(t):  # each support holds the one before
+        states.append(states[-1].recombined(pairs))
+    log.info("iterate_discrete on %d sites: %d of %d types stepped entry by entry, %d steps",
+             w0.space.n_sites, len(dict(states[-1].items())), w0.space.cardinality, t)
     return Trajectory(times, states)
 
 

@@ -4,7 +4,8 @@ A type space is a product X = X_1 x ... x X_n of finite alphabets, one per
 site.  Types are tuples of letter indices.  Distributions are stored as a
 dense flat float64 array in row-major mixed-radix order (site 1 is the most
 significant digit) when the total cardinality fits under ``DENSE_CAP``, and
-as a sparse dict above it.
+as a sparse dict above it.  Every route steps a :class:`Reduction` of its
+start to the letters present, dense while that fits under ``DENSE_CAP``.
 
 Operations never renormalize silently; :meth:`TypeDistribution.normalize`
 is the explicit utility for drift control in integrators.
@@ -234,14 +235,9 @@ class TypeDistribution:
     def marginal(self, sites: Iterable[int]) -> "TypeDistribution":
         """Push forward along the projection onto a nonempty site subset."""
         ss = tuple(sorted(set(sites)))
-        if not ss:
-            raise DomainError("marginal needs a nonempty site set")
-        for s in ss:
-            if not 1 <= s <= self.space.n_sites:
-                raise DomainError(f"site {s} not in 1..{self.space.n_sites}")
         if ss == self.space.sites:
             return self
-        sub = self.space.subspace(ss)
+        sub = self.space.subspace(ss)  # checks the sites
         if self._dense is not None:
             nd = self._dense.reshape(self.space.alphabet_sizes)
             drop = tuple(i for i in range(self.space.n_sites) if (i + 1) not in ss)
@@ -265,45 +261,36 @@ class TypeDistribution:
             raise DomainError(
                 f"partition ground {a.ground} does not match sites {self.space.sites}"
             )
-        if a.n_blocks == 1:
-            return self
+        return self if a.n_blocks == 1 else self.recombined([(a, 1.0)])
+
+    def recombined(self, pairs: Iterable[tuple[Partition, float]]) -> "TypeDistribution":
+        """The sum of c * (this measure recombined along a) over the pairs
+        (a, c) of partitions of the site set and weights, on the
+        :class:`Reduction` to the letters present, each block's marginal
+        computed once; a reduction past ``DENSE_CAP`` is summed entry by entry."""
         total = self.mass
         if total == 0.0:
             return self
-        if self._dense is not None:
-            return TypeDistribution._from_dense(self.space, self._block_product(a, total, {}))
-        scale = total ** (a.n_blocks - 1)
-        block_items = []
-        for b in a.blocks:
-            marg = self.marginal(b)
-            block_items.append([(b, t, v) for t, v in marg._sparse.items()])
+        red = Reduction(self)
+        if red.space.dense:
+            acc = np.zeros(red.space.cardinality)
+            for a, c in pairs:
+                acc += c * (red.values if a.n_blocks == 1 else red.product(a, total))
+            return red.expand(acc)
         d: dict[tuple[int, ...], float] = {}
         buf = [0] * self.space.n_sites
-        for combo in itertools.product(*block_items):
-            w = 1.0
-            for b, t, v in combo:
-                w *= v
-                for site, letter in zip(b, t):
-                    buf[site - 1] = letter
-            d[tuple(buf)] = w / scale
+        for a, c in pairs:
+            scale = total ** (a.n_blocks - 1)
+            margs = [self.marginal(b)._sparse.items() for b in a.blocks]
+            for combo in itertools.product(*margs):
+                w = 1.0
+                for b, (t, v) in zip(a.blocks, combo):
+                    w *= v
+                    for site, letter in zip(b, t):
+                        buf[site - 1] = letter
+                t = tuple(buf)
+                d[t] = d.get(t, 0.0) + c * (w / scale)
         return TypeDistribution._from_sparse(self.space, d)
-
-    def _block_product(self, a: Partition, total: float, margs: dict) -> np.ndarray:
-        """Flat dense product of the block marginals of `a` over
-        total^(m-1), for m >= 2 blocks and the nonzero mass `total`.
-
-        `margs` memoizes each block's marginal, shaped to broadcast over
-        the full space, across calls on the same distribution.
-        """
-        sizes = self.space.alphabet_sizes
-        nd = None
-        for b in a.blocks:
-            marg = margs.get(b)
-            if marg is None:
-                shape = tuple(s if (i + 1) in b else 1 for i, s in enumerate(sizes))
-                marg = margs[b] = self.marginal(b)._dense.reshape(shape)
-            nd = marg if nd is None else nd * marg
-        return nd.ravel() / total ** (a.n_blocks - 1)
 
     def _gaps(self, other: "TypeDistribution", what: str) -> np.ndarray:
         """|self - other| pointwise: over the whole space when both are
@@ -362,6 +349,89 @@ class TypeDistribution:
     def __repr__(self) -> str:
         kind = "dense" if self._dense is not None else "sparse"
         return f"TypeDistribution({self.space!r}, {kind}, mass={self.mass:.6g})"
+
+
+class Reduction:
+    """A start on the product of the letters present at each site.
+
+    Recombination keeps every one-site marginal, and a Moran offspring
+    carries only its parents' letters, so a type with a letter absent at
+    t = 0 never holds mass.  ``letters`` are, per site, those present in
+    the start or in `others` (letter 0 where none is: the zero measure);
+    ``space`` is their product.  Where it fits under ``DENSE_CAP``,
+    ``values`` is the start on it and, for a start stored densely,
+    ``where`` the increasing map into the whole space; else None.
+    """
+
+    __slots__ = ("start", "letters", "space", "values", "where", "_layout", "_on", "_at", "_margs")
+
+    def __init__(self, start: TypeDistribution, *others: TypeDistribution):
+        whole, n = start.space, start.space.n_sites
+        letters = None
+        for w in (start, *others):
+            if w._dense is not None:
+                held = w._dense.reshape(whole.alphabet_sizes) > 0.0
+                got = [np.flatnonzero(held.any(axis=tuple(j for j in range(n) if j != i)))
+                       for i in range(n)]
+            else:
+                held = np.array([t for t, v in w._sparse.items() if v > 0.0], np.int64)
+                got = [np.unique(c) for c in held.reshape(-1, n).T]
+            letters = got if letters is None else [np.union1d(x, y) for x, y in zip(letters, got)]
+        self.start, self._margs = start, {}
+        self.letters = letters = [x if x.size else np.zeros(1, np.int64) for x in letters]
+        self.space = space = TypeSpace._of_whole(tuple(x.size for x in letters))
+        self.values = self.where = self._layout = None
+        if not space.dense:
+            return
+        if start._dense is not None:
+            # marginals are summed on the whole layout and taken at the letters
+            self._on, self._at = start._dense.reshape(whole.alphabet_sizes), np.ix_(*letters)
+            self.where = sum(x * p for x, p in zip(self._at, whole.places)).ravel()
+            self.values = start._dense[self.where]
+            self._layout = np.zeros(whole.cardinality)
+            return
+        self.values = np.zeros(space.cardinality)
+        ranks = [dict(zip(x.tolist(), range(x.size))) for x in letters]
+        for t, v in start._sparse.items():
+            if v > 0.0:
+                self.values[sum(r[c] * p for r, c, p in zip(ranks, t, space.places))] = v
+        self._on = self.values.reshape(space.alphabet_sizes)
+        self._at = np.ix_(*(np.arange(k) for k in space.alphabet_sizes))
+
+    def mass(self, values: np.ndarray) -> float:
+        """The sum of `values` laid out on the whole space for a dense start:
+        numpy sums pairwise, so the absent types' zeros set the rounding."""
+        if self._layout is None:
+            return values.sum()
+        self._layout[self.where] = values
+        return self._layout.sum()
+
+    def expand(self, values: np.ndarray) -> TypeDistribution:
+        """`values` on the reduced types as a measure stored as the start is."""
+        whole = self.start.space
+        if self.where is not None:
+            full = np.zeros(whole.cardinality)
+            full[self.where] = values
+            return TypeDistribution._from_dense(whole, full)
+        held = np.flatnonzero(values)
+        digits = np.unravel_index(held, self.space.alphabet_sizes)
+        types = zip(*(x[d].tolist() for x, d in zip(self.letters, digits)))
+        return TypeDistribution._from_sparse(whole, dict(zip(types, values[held].tolist())))
+
+    def product(self, a: Partition, total: float) -> np.ndarray:
+        """The product of the start's block marginals along `a` over
+        total^(m-1) (the nonzero mass) on the reduced types.  A dense start's
+        marginals are summed on the whole space, to round as there, and
+        taken at the letters present; each is kept for later calls."""
+        nd = None
+        for b in a.blocks:
+            marg = self._margs.get(b)
+            if marg is None:
+                drop = tuple(i for i in range(self.space.n_sites) if i + 1 not in b)
+                at = tuple(0 if i in drop else x for i, x in enumerate(self._at))
+                marg = self._margs[b] = self._on.sum(axis=drop, keepdims=True)[at]
+            nd = marg if nd is None else nd * marg
+        return nd.ravel() / total ** (a.n_blocks - 1)
 
 
 # -- module-level op spellings used throughout tests and the solvers -------

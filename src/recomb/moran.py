@@ -24,7 +24,7 @@ from . import _kernels
 from .errors import (
     LAST_REPLICATE, DomainError, SizeCapError, check_count, check_grid, check_time,
 )
-from .measure import TypeDistribution, TypeSpace
+from .measure import Reduction, TypeDistribution, TypeSpace
 from .partitions import Partition, count_label_rows
 from .rates import RecombinationDistribution
 
@@ -174,7 +174,8 @@ def simulate_moran_grid(
     Replicate r draws from a stream keyed by (seed, r); the batch holds
     replicates first_replicate, first_replicate + 1, ...  With multinomial_from,
     every replicate redraws its initial population from that distribution
-    (size N of z0); otherwise all replicates start exactly at z0.
+    (size N of z0); otherwise all replicates start exactly at z0.  The walk
+    steps the product of the letters present in z0 and multinomial_from.
     """
     times = check_grid(t_grid)
     first_replicate = check_count(
@@ -183,20 +184,24 @@ def simulate_moran_grid(
     replicates = check_count(
         replicates, "replicate count", maximum=LAST_REPLICATE + 1 - first_replicate
     )
-    masks, probs, places, sizes = _model_arrays(d, z0.space)
+    if multinomial_from is not None and multinomial_from.space != z0.space:
+        raise DomainError("initial distribution lives on a different space")
+    start = z0.frequencies()
+    red = Reduction(start if multinomial_from is None else multinomial_from, start)
     w0 = None
     if multinomial_from is not None:
-        if multinomial_from.space != z0.space:
-            raise DomainError("initial distribution lives on a different space")
-        w0 = multinomial_from.to_array()
-        total = w0.sum()
+        total = red.mass(red.values)
         if total <= 0:
             raise DomainError("cannot initialize from a zero-mass distribution")
-        w0 = w0 / total
-    return _kernels.moran_batch(
-        z0.counts, places, sizes, masks, probs, d.mu, times, seed, replicates,
+        w0 = red.values / total
+    masks, probs, places, sizes = _model_arrays(d, red.space)
+    counts = _kernels.moran_batch(
+        z0.counts[red.where], places, sizes, masks, probs, d.mu, times, seed, replicates,
         rep_lo=first_replicate, multinomial_from=w0,
     )
+    out = np.zeros(counts.shape[:2] + (z0.space.cardinality,), np.int64)
+    out[..., red.where] = counts
+    return out
 
 
 def moran_event_counts(
@@ -255,14 +260,14 @@ def lln_report(
     replicates = check_count(replicates, "replicate count", maximum=LAST_REPLICATE + 1)
     check_time(t)
     _require_prob(w0)
-    target = solve_exact(d, w0, t, method="semigroup").to_array()
-    masks, probs, places, sizes = _model_arrays(d, w0.space)
-    w0_arr = w0.to_array()
+    red = Reduction(w0)
+    target = solve_exact(d, w0, t, method="semigroup").to_array()[red.where]
+    masks, probs, places, sizes = _model_arrays(d, red.space)
     means: list[float] = []
     sds: list[float] = []
     for n_pop in sizes_list:
         tv = _kernels.moran_tv_batch(
-            w0_arr, target, n_pop, places, sizes, masks, probs, d.mu, t, seed, replicates
+            red.values, target, n_pop, places, sizes, masks, probs, d.mu, t, seed, replicates
         )
         means.append(float(tv.mean()))
         sds.append(float(tv.std(ddof=1)) if replicates > 1 else 0.0)

@@ -1,6 +1,8 @@
 """Forward dynamics: vector field, fixed-step integration, exact mixture
 solution, discrete generations, and the duality identity."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from recomb import (
     coefficients_semigroup,
     coefficients_single_crossover,
     compute_psi_theta,
+    cut_partition,
     exact_coefficients,
     integrate,
     integrate_grid,
@@ -459,6 +462,42 @@ def test_sparse_discrete_generations_marginalise(model3):
         want = iterate_discrete(_relabelled_marginal_model(model3, u), start, 6)
         for s in range(7):
             assert got.states[s].marginal(u).sup_distance(want.states[s]) <= 1e-13, (u, s)
+
+
+def test_a_sparse_start_whose_reduction_fits_keeps_its_mass(model3):
+    # the 128^3 start holds 3 letters at each site: its 27 reduced types
+    # step on the dense kernel, whose increment sums to zero
+    space = TypeSpace([128, 128, 128])
+    w0 = TypeDistribution.from_pairs(
+        space, [((0, 0, 0), 0.5), ((5, 7, 1), 0.3), ((127, 3, 9), 0.2)]
+    )
+    for state in iterate_discrete(model3, w0, 100).states:
+        assert not state.is_dense
+        assert abs(state.mass - 1.0) <= 1e-14
+
+
+def test_a_start_whose_reduction_is_past_the_cap_steps_entry_by_entry(caplog):
+    # 21 sites with both letters present at each: 2^21 reduced types; the
+    # cuts after sites 7 and 14 mix 3 segment patterns of each type, 27 types
+    ground = tuple(range(1, 22))
+    d = RecombinationDistribution.from_probabilities(
+        ground, 1.0, {cut_partition(21, 7): 0.2, cut_partition(21, 14): 0.3}
+    )
+    space = TypeSpace([2] * 21)
+    w0 = TypeDistribution.from_pairs(
+        space, [((0,) * 21, 0.5), ((1,) * 21, 0.3), ((1, 0) * 10 + (1,), 0.2)]
+    )
+    with caplog.at_level(logging.INFO, logger="recomb.dynamics"):
+        got = iterate_discrete(d, w0, 2)
+    assert [r.getMessage() for r in caplog.records] == [
+        "iterate_discrete on 21 sites: 27 of 2097152 types stepped entry by entry, 2 steps"
+    ]
+    for u in ((1, 8, 15), (7, 8, 14, 15)):
+        sub = w0.marginal(u)
+        start = TypeDistribution.from_pairs(sub.space, sub.items())
+        want = iterate_discrete(_relabelled_marginal_model(d, u), start, 2)
+        for s in range(3):
+            assert got.states[s].marginal(u).sup_distance(want.states[s]) <= 1e-15, (u, s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""The flow stepped on the letters present at t = 0.
+"""The routes run on the letters present at t = 0.
 
 Recombination keeps every one-site marginal, so a letter absent at a site
-at t = 0 stays absent, and ``integrate_grid`` and ``iterate_discrete``
-step only the product of the letters present in the start.  Each must be
-bitwise the step over the whole space kept below as the reference: the
-RK4 span and the generation loop over every type, on the full-space
-field with the kernel's own mass ``w.sum()``; ``rhs`` is checked against
-the same kernel call.
+at t = 0 stays absent, and a Moran offspring carries only its parents'
+letters.  ``integrate_grid``, ``iterate_discrete``, the exact mixture and
+the forward Moran front doors run on the start's ``Reduction`` to the
+product of the letters present.  Each must be bitwise the computation
+over the whole space kept below as the reference: the RK4 span and the
+generation loop over every type, on the full-space field with the
+kernel's own mass ``w.sum()``; the per-partition mixture sum of
+``tests/test_dynamics.py``; and the Moran kernels called on the whole
+space.  ``rhs`` is checked against the same kernel call.
 """
 
 import itertools
@@ -21,17 +24,25 @@ from hypothesis import strategies as st
 from recomb import (
     DomainError,
     MassDriftError,
+    PopulationState,
     RecombinationDistribution,
+    SizeCapError,
     TypeDistribution,
     TypeSpace,
+    exact_coefficients,
     integrate_grid,
     iterate_discrete,
+    lln_report,
+    mixture_from_coefficients,
     rhs,
+    simulate_moran_grid,
     solve_exact,
     two_block_partitions,
 )
 from recomb import _kernels as K
 from recomb.dynamics import MASS_TOL, _VectorField
+from recomb.measure import Reduction
+from test_dynamics import reference_mixture
 
 TIMES = [0.0, 0.25, 0.6]
 DT = 0.1
@@ -125,6 +136,9 @@ def assert_flow_is_the_reference(w0, seed):
         field = _VectorField(d, w0.space)
         want = K.rhs_dense(w0.to_array(), field.idx1, field.idx2, field.rates)
         assert rhs(d, w0).to_array().tobytes() == want.tobytes()
+    for coefficients in exact_coefficients(rate_model, TIMES, "semigroup"):
+        got = mixture_from_coefficients(coefficients, w0).to_array()
+        assert got.tobytes() == reference_mixture(coefficients, w0).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(STARTS))
@@ -134,11 +148,13 @@ def test_the_flow_on_the_letters_present_is_bitwise_the_whole_space(name):
 
 def test_the_field_steps_the_product_of_the_letters_present():
     w0 = STARTS["alphabet3-letters-0-and-2"]()
-    field = _VectorField.reaching(models(5, 1)[0], w0)
+    red = Reduction(w0)
     space = w0.space
     want = [space.encode(t) for t in itertools.product((0, 2), repeat=5)]
-    assert field.where.tolist() == want  # increasing: the full space's order
-    assert field.idx1.shape == (15, 32)
+    assert red.where.tolist() == want  # increasing: the full space's order
+    assert red.space == TypeSpace([2] * 5)
+    assert red.values.tobytes() == w0.to_array()[want].tobytes()
+    assert _VectorField(models(5, 1)[0], red.space).idx1.shape == (15, 32)
 
 
 def test_a_point_mass_stays_fixed():
@@ -220,3 +236,81 @@ def test_the_stepped_size_is_logged(caplog):
         "iterate_discrete on 5 sites: 32 of 243 types stepped, 4 steps, "
         "4 right-hand-side evaluations",
     ]
+
+
+# -- the forward Moran front doors against the kernels on the whole space --
+
+
+def start_with_more_letters(w0, seed):
+    """A start on the same space holding every letter of w0's alphabets
+    at a third of its types: the redraws bring letters z0 lacks."""
+    return start_on(w0.space.alphabet_sizes, [range(s) for s in w0.space.alphabet_sizes],
+                    seed, share=0.3)
+
+
+MORAN_STARTS = {
+    **STARTS,
+    "alphabet8-letters-2-and-5": lambda: start_on([8] * 4, [(2, 5)] * 4, 4, share=0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MORAN_STARTS))
+def test_the_moran_front_doors_are_bitwise_the_whole_space_kernels(name):
+    w0 = MORAN_STARTS[name]()
+    d, _ = models(w0.space.n_sites, 11)
+    masks, probs = d.event_arrays()
+    space = w0.space
+    full = (space.places, space.alphabet_sizes, masks, probs, d.mu)
+    z0 = PopulationState.from_distribution(w0, 60)
+    times = [0.1, 0.4]
+    got = simulate_moran_grid(d, z0, times, 3, replicates=3, first_replicate=2)
+    want = K.moran_batch(z0.counts, *full, times, 3, 3, rep_lo=2)
+    assert got.tobytes() == want.tobytes()
+    other = start_with_more_letters(w0, 12)
+    got = simulate_moran_grid(d, z0, times, 5, replicates=3, multinomial_from=other)
+    redraw = other.to_array() / other.to_array().sum()
+    want = K.moran_batch(z0.counts, *full, times, 5, 3, multinomial_from=redraw)
+    assert got.tobytes() == want.tobytes()
+    report = lln_report(d, w0, 0.4, [30, 90], 3, 7)
+    target = reference_mixture(exact_coefficients(d, [0.4], "semigroup")[0], w0)
+    tvs = [K.moran_tv_batch(w0.to_array(), target, n, *full, 0.4, 7, 3) for n in (30, 90)]
+    assert np.array(report.mean_tv).tobytes() == np.array([tv.mean() for tv in tvs]).tobytes()
+    assert np.array(report.sd_tv).tobytes() == np.array([tv.std(ddof=1) for tv in tvs]).tobytes()
+
+
+# -- a start past the dense storage cap whose reduction fits ----------------
+
+
+def test_a_past_cap_start_with_two_varying_sites_runs_dense():
+    # 21 biallelic sites, letters varying only at sites 1 and 21: 4 reduced
+    # types. Every positive cut separates sites 1 and 21 and leaves the
+    # other sites fixed, so w_t = e^{-rho t} w_0 + (1 - e^{-rho t})
+    # mu_1 x mu_21 x delta_rest, with rho the sum of the cut rates.
+    cuts = [0.0] * 20
+    for k, rate in ((1, 0.4), (6, 0.3), (11, 0.5), (15, 0.2), (20, 0.6)):
+        cuts[k - 1] = rate
+    d = RecombinationDistribution.single_crossover(cuts)
+    space = TypeSpace([2] * 21)
+    assert not space.dense
+
+    def typ(first, last):
+        return (first,) + (0,) * 19 + (last,)
+
+    w0 = TypeDistribution.from_pairs(space, [(typ(0, 0), 0.7), (typ(1, 1), 0.3)])
+    assert Reduction(w0).space == TypeSpace([2] + [1] * 19 + [2])
+    t = 0.7
+    stay = math.exp(-sum(cuts) * t)
+    mu = {0: 0.7, 1: 0.3}  # the one-site marginal at sites 1 and 21
+    want = TypeDistribution.from_pairs(
+        space,
+        [(ty, stay * v) for ty, v in w0.items()]
+        + [(typ(a, b), (1.0 - stay) * mu[a] * mu[b]) for a in (0, 1) for b in (0, 1)],
+    )
+    exact = solve_exact(d, w0, t)
+    assert not exact.is_dense
+    assert exact.sup_distance(want) <= 1e-12
+    stepped = integrate_grid(d, w0, [0.0, t], 1e-3).final
+    assert not stepped.is_dense
+    assert stepped.sup_distance(want) <= 1e-9
+    with pytest.raises(SizeCapError):
+        rhs(d, w0)

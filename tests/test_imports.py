@@ -1,7 +1,8 @@
 """Package structure: no module reaches into a sibling's private names or
-the private slots of the exact routes' classes, the model module stays off
-the lattice and the reachable-state cap, and only the partition and model
-modules read ``sort_key``, so the event order has one owner."""
+the private slots of the exact routes' or the measures' classes, the model
+module stays off the lattice and the reachable-state cap, and only the
+partition and model modules read ``sort_key``, so the event order has one
+owner."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,17 @@ def test_only_the_partition_and_model_modules_read_sort_key():
             if isinstance(node, ast.Attribute) and node.attr == "sort_key":
                 readers.add(path.name)
     assert readers <= {"partitions.py", "rates.py"}
+
+
+def test_only_the_measure_module_reads_the_storage_of_a_distribution():
+    # the letters present have one owner: the measure module's Reduction
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "measure.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "_dense", "_sparse", "_block_product"
+            ):
+                readers.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert readers == []
